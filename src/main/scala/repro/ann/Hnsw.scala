@@ -21,12 +21,7 @@ final class Hnsw(val dim: Int, m: Int = 12, efConstruction: Int = 64, seed: Long
   def size: Int = vectors.size
   def vector(id: Int): Array[Double] = vectors(id)
 
-  def dist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < dim) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.sqrt(s)
-  }
+  def dist(a: Array[Double], b: Array[Double]): Double = Hnsw.dist(a, b)
 
   /** Insert `v`; returns its id (insertion order). */
   def add(v: Array[Double]): Int = {
@@ -121,4 +116,14 @@ final class Hnsw(val dim: Int, m: Int = 12, efConstruction: Int = 64, seed: Long
     */
   def radius(q: Array[Double], tau: Double, ef: Int = 64): Vector[(Int, Double)] =
     search(q, ef, ef).filter(_._2 <= tau)
+}
+
+object Hnsw {
+  /** Euclidean distance; the squares are summed left to right from 0.0. */
+  def dist(a: Array[Double], b: Array[Double]): Double = {
+    var s = 0.0
+    var i = 0
+    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+    math.sqrt(s)
+  }
 }

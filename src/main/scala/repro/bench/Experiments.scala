@@ -4,6 +4,7 @@ import repro.core.emf.Emf
 import repro.core.encode.EncoderConfig
 import repro.core.geqo.GEqO
 import repro.core.ir.Catalogs
+import repro.core.sf.SchemaFilter
 import repro.core.vmf.Vmf
 import repro.gen.Workloads
 import repro.ml.{Confusion, LogisticRegression, RandomForest}
@@ -74,11 +75,12 @@ object Experiments {
     val nPos = truth.size.toLong
     val nNeg = es.numPairs - nPos
 
+    def rates(tp: Long, fp: Long): (Double, Double) =
+      (tp.toDouble / math.max(1L, nPos), 1.0 - fp.toDouble / math.max(1L, nNeg))
     def metrics(admitted: Iterable[(Int, Int)]): (Double, Double) = {
       val a = admitted.toSet
       val tp = (a & truth).size.toLong
-      val fp = a.size - tp
-      (tp.toDouble / math.max(1L, nPos), 1.0 - fp.toDouble / math.max(1L, nNeg))
+      rates(tp, a.size - tp)
     }
 
     val av = new Verifier(AvSmtIters)
@@ -87,7 +89,10 @@ object Experiments {
     val r = run.value
     val s = r.stats
 
-    val (sfTpr, sfTnr)   = metrics(r.sfPairs)
+    // SF survivors are the intra-group pairs: a truth pair survives when its
+    // two plans share an SF group.
+    val sfTp = truth.count { case (i, j) => SchemaFilter.admits(subs(i), subs(j)) }.toLong
+    val (sfTpr, sfTnr)   = rates(sfTp, s.afterSf - sfTp)
     val (vmfTpr, vmfTnr) = metrics(r.vmfPairs)
     val (emfTpr, emfTnr) = metrics(r.emfPairs)
     val (gTpr, _)        = metrics(r.equivalences)

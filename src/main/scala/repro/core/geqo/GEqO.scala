@@ -19,8 +19,8 @@ import repro.verifier.Verifier
 final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
                  val inst: EncoderConfig, emfThreshold: Double = 0.5) {
 
-  /** Per-stage pair counts and wall-clock (nanos). `candidates(stage)` is
-    * the number of pairs still alive *after* that stage.
+  /** Per-stage pair counts and wall-clock (nanos). `afterSf`, `afterVmf`
+    * and `afterEmf` count the pairs still alive *after* that stage.
     */
   final case class Stats(totalPairs: Long,
                          afterSf: Long, afterVmf: Long, afterEmf: Long, verified: Long,
@@ -28,77 +28,54 @@ final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
     def totalNanos: Long = sfNanos + vmfNanos + emfNanos + avNanos
   }
 
-  /** `sfPairs`/`vmfPairs`/`emfPairs` are the pairs alive after each stage
-    * (for per-filter TPR/TNR accounting in the Table-1 benchmark).
+  /** `vmfPairs`/`emfPairs` are the pairs alive after those stages (for
+    * per-filter TPR/TNR accounting in the Table-1 benchmark). The SF stage
+    * yields groups only; its survivors are the intra-group pairs.
     */
   final case class Result(equivalences: Set[(Int, Int)], stats: Stats,
-                          sfPairs: Vector[(Int, Int)], vmfPairs: Vector[(Int, Int)],
-                          emfPairs: Vector[(Int, Int)])
+                          vmfPairs: Vector[(Int, Int)], emfPairs: Vector[(Int, Int)])
 
   def equivalenceSet(workload: IndexedSeq[Plan],
                      useSf: Boolean = true, useVmf: Boolean = true,
                      useEmf: Boolean = true): Result = {
     val n = workload.size
-    val totalPairs = n.toLong * (n - 1) / 2
 
     // Shared O(n) instance encodings (§4.2.1's fast path).
     val instEnc: IndexedSeq[EncodedPlan] =
       workload.map(NodeVector.encodeInstance(_, inst))
 
-    // --- SF ---------------------------------------------------------------
-    val t0 = System.nanoTime()
-    val groups: Vector[Vector[Int]] =
+    val (groups, sfNanos) = timed {
       if (useSf) SchemaFilter.groups(workload) else Vector(workload.indices.toVector)
-    val afterSf = groups.map(g => g.size.toLong * (g.size - 1) / 2).sum
-    val sfPairs = groups.flatMap(g =>
-      for { a <- g.indices; b <- (a + 1) until g.size } yield {
-        val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-      })
-    val sfNanos = System.nanoTime() - t0
-
-    // --- VMF --------------------------------------------------------------
-    val t1 = System.nanoTime()
-    val vmfPairs: Vector[(Int, Int)] = groups.flatMap { g =>
-      if (useVmf) {
-        val groupEnc = g.map(instEnc)
-        vmf.candidatePairs(groupEnc, inst).map { case (a, b) =>
-          val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-        }
-      } else {
-        for { a <- g.indices.toVector; b <- (a + 1) until g.size } yield {
-          val (i, j) = (g(a), g(b)); if (i < j) (i, j) else (j, i)
-        }
+    }
+    val (vmfPairs, vmfNanos) = timed {
+      if (useVmf) vmf.candidates(groups, instEnc, inst)
+      else groups.iterator.flatMap(SchemaFilter.pairs).toVector
+    }
+    val (emfPairs, emfNanos) = timed {
+      if (!useEmf) vmfPairs
+      else vmfPairs.filter { case (i, j) =>
+        emf.predictProbInstanceEncoded(instEnc(i), instEnc(j), inst) >= emfThreshold
       }
     }
-    val vmfNanos = System.nanoTime() - t1
-
-    // --- EMF --------------------------------------------------------------
-    val t2 = System.nanoTime()
-    val emfPairs =
-      if (useEmf)
-        vmfPairs.filter { case (i, j) =>
-          emf.predictProbInstanceEncoded(instEnc(i), instEnc(j), inst) >= emfThreshold
-        }
-      else vmfPairs
-    val emfNanos = System.nanoTime() - t2
-
-    // --- AV ---------------------------------------------------------------
-    val t3 = System.nanoTime()
-    val verified = emfPairs.filter { case (i, j) =>
-      verifier.equivalent(workload(i), workload(j))
-    }.toSet
-    val avNanos = System.nanoTime() - t3
+    val (verified, avNanos) = timed {
+      emfPairs.filter { case (i, j) => verifier.equivalent(workload(i), workload(j)) }.toSet
+    }
 
     Result(verified,
-      Stats(totalPairs, afterSf, vmfPairs.size, emfPairs.size, verified.size,
-            sfNanos, vmfNanos, emfNanos, avNanos),
-      sfPairs, vmfPairs, emfPairs)
+      Stats(n.toLong * (n - 1) / 2, groups.map(g => g.size.toLong * (g.size - 1) / 2).sum,
+            vmfPairs.size, emfPairs.size, verified.size, sfNanos, vmfNanos, emfNanos, avNanos),
+      vmfPairs, emfPairs)
   }
 
-  /** GEqO_PAIR (Equation 2): short-circuiting pairwise decision. */
+  /** GEqO_PAIR (Equation 2): the cascade on the two-plan workload `(p, q)`,
+    * so an SF, VMF or EMF reject short-circuits before the AV.
+    */
   def equivalentPair(p: Plan, q: Plan): Boolean =
-    SchemaFilter.admits(p, q) &&
-      vmf.admits(p, q, inst) &&
-      emf.predictProb(p, q, inst) >= emfThreshold &&
-      verifier.equivalent(p, q)
+    equivalenceSet(Vector(p, q)).equivalences.nonEmpty
+
+  private def timed[T](f: => T): (T, Long) = {
+    val t0 = System.nanoTime()
+    val v = f
+    (v, System.nanoTime() - t0)
+  }
 }

@@ -17,7 +17,9 @@ object SchemaFilter {
 
   def admits(p: Plan, q: Plan): Boolean = key(p) == key(q)
 
-  /** SF-groups as index lists into `workload`, insertion-ordered. */
+  /** SF-groups as ascending index lists into `workload`, ordered by their
+    * first member.
+    */
   def groups(workload: IndexedSeq[Plan]): Vector[Vector[Int]] =
     workload.indices
       .groupBy(i => key(workload(i)))
@@ -25,8 +27,9 @@ object SchemaFilter {
       .toVector
       .sortBy(_.head)
 
-  /** All intra-group unordered pairs (i < j). */
-  def candidatePairs(workload: IndexedSeq[Plan]): Vector[(Int, Int)] =
-    groups(workload).flatMap(g =>
-      for { a <- g.indices; b <- (a + 1) until g.size } yield (g(a), g(b)))
+  /** A group's unordered pairs as global index tuples; (i < j) when `group`
+    * is ascending, as every group from [[groups]] is.
+    */
+  def pairs(group: IndexedSeq[Int]): Iterator[(Int, Int)] =
+    for { a <- group.indices.iterator; b <- (a + 1) until group.size } yield (group(a), group(b))
 }

@@ -24,14 +24,14 @@ final class Ssfl(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
     * confident, i.e. max(P₀, P₁) ≥ T_h.
     */
   def confidence(workload: IndexedSeq[Plan]): Double = {
+    val n = workload.size
+    if (n < 2) return 1.0
     val enc = instEnc(workload)
-    val pairs = for { i <- workload.indices; j <- (i + 1) until workload.size } yield (i, j)
-    if (pairs.isEmpty) return 1.0
-    val confident = pairs.count { case (i, j) =>
+    val confident = SchemaFilter.pairs(workload.indices).count { case (i, j) =>
       val p = emf.predictProbInstanceEncoded(enc(i), enc(j), inst)
       math.max(p, 1 - p) >= th
     }
-    confident.toDouble / pairs.size
+    confident.toDouble / (n.toLong * (n - 1) / 2)
   }
 
   /** Filter-balanced sample (§6): SF∩VMF candidates labeled by the AV keep
@@ -41,11 +41,7 @@ final class Ssfl(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
     */
   def filterBalancedSample(workload: IndexedSeq[Plan], cap: Int = 512)
       : Vector[(Plan, Plan, Boolean)] = {
-    val enc = instEnc(workload)
-    val groups = SchemaFilter.groups(workload)
-    val candidates = groups.flatMap { g =>
-      vmf.candidatePairs(g.map(enc), inst).map { case (a, b) => (g(a), g(b)) }
-    }
+    val candidates = vmf.candidates(SchemaFilter.groups(workload), instEnc(workload), inst)
     val labeled = rng.shuffle(candidates).take(cap).map { case (i, j) =>
       (workload(i), workload(j), verifier.equivalent(workload(i), workload(j)))
     }

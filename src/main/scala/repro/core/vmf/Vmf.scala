@@ -4,6 +4,7 @@ import repro.ann.Hnsw
 import repro.core.emf.Emf
 import repro.core.encode.{DbAgnostic, EncodedPlan, EncoderConfig, NodeVector}
 import repro.core.ir.Ir.Plan
+import repro.core.sf.SchemaFilter
 
 /** The vector matching filter (VMF, §2.2, Definition 2.1): embed each
   * subexpression of an SF-group with the EMF's learned tree convolutions
@@ -25,13 +26,10 @@ final class Vmf(val emf: Emf, val tau: Double, hnswEf: Int = 48) {
     val embs = embedGroup(instanceEncoded, inst)
     val n = embs.size
     if (n < 2) Vector.empty
-    else if (n <= bruteForceBelow) {
-      (for {
-        i <- 0 until n
-        j <- (i + 1) until n
-        if dist(embs(i), embs(j)) <= tau
-      } yield (i, j)).toVector
-    } else {
+    else if (n <= bruteForceBelow)
+      SchemaFilter.pairs(0 until n)
+        .filter { case (i, j) => Hnsw.dist(embs(i), embs(j)) <= tau }.toVector
+    else {
       val index = new Hnsw(embs.head.length, seed = 7)
       embs.foreach(index.add)
       (for {
@@ -42,33 +40,37 @@ final class Vmf(val emf: Emf, val tau: Double, hnswEf: Int = 48) {
     }
   }
 
-  /** Pairwise admission (the 2-ary special case). */
-  def admits(p: Plan, q: Plan, inst: EncoderConfig): Boolean = {
-    val enc = Vector(NodeVector.encodeInstance(p, inst), NodeVector.encodeInstance(q, inst))
-    val embs = embedGroup(enc, inst)
-    dist(embs(0), embs(1)) <= tau
-  }
+  /** The VMF stage over a workload: each group (ascending indices into
+    * `instEnc`, e.g. from `SchemaFilter.groups`) goes through
+    * [[candidatePairs]], and its pairs come back as workload indices
+    * (i < j), group by group.
+    */
+  def candidates(groups: Seq[IndexedSeq[Int]], instEnc: IndexedSeq[EncodedPlan],
+                 inst: EncoderConfig): Vector[(Int, Int)] =
+    groups.iterator.flatMap { g =>
+      candidatePairs(g.map(instEnc), inst).map { case (a, b) => (g(a), g(b)) }
+    }.toVector
 
-  private def dist(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
-    math.sqrt(s)
-  }
+  /** Pairwise admission (the 2-ary special case). */
+  def admits(p: Plan, q: Plan, inst: EncoderConfig): Boolean =
+    Vmf.pairDistance(emf, p, q, inst) <= tau
 }
 
 object Vmf {
+  /** Embedding distance of `p` and `q`, embedded together as a 2-plan group. */
+  private def pairDistance(emf: Emf, p: Plan, q: Plan, inst: EncoderConfig): Double = {
+    val enc = Vector(NodeVector.encodeInstance(p, inst), NodeVector.encodeInstance(q, inst))
+    val embs = DbAgnostic.convert(enc, inst, emf.agn).map(emf.model.embed)
+    Hnsw.dist(embs(0), embs(1))
+  }
+
   /** Choose τ from labeled pairs: the given quantile of *positive*-pair
     * embedding distances (≥ max for quantile 1.0), so the VMF admits
     * equivalences with the near-perfect recall Table 1 requires.
     */
   def calibrate(emf: Emf, pairs: Seq[(Plan, Plan, Boolean)], inst: EncoderConfig,
                 quantile: Double = 0.95, slack: Double = 1.0): Double = {
-    val dists = pairs.collect { case (p, q, true) =>
-      val enc = Vector(NodeVector.encodeInstance(p, inst), NodeVector.encodeInstance(q, inst))
-      val embs = DbAgnostic.convert(enc, inst, emf.agn).map(emf.model.embed)
-      math.sqrt(embs(0).zip(embs(1)).map { case (a, b) => (a - b) * (a - b) }.sum)
-    }.sorted
+    val dists = pairs.collect { case (p, q, true) => pairDistance(emf, p, q, inst) }.sorted
     require(dists.nonEmpty, "calibrate needs positive pairs")
     val idx = math.min(dists.size - 1, (quantile * dists.size).toInt)
     math.max(dists(idx) * slack, 1e-6)

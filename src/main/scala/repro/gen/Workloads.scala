@@ -2,6 +2,7 @@ package repro.gen
 
 import repro.core.ir.Ir.Plan
 import repro.core.ir.Schema
+import repro.core.sf.SchemaFilter
 import repro.verifier.Verifier
 import scala.util.Random
 
@@ -89,14 +90,7 @@ object Workloads {
     */
   def groundTruth(subexprs: Vector[Plan]): Set[(Int, Int)] = {
     val av = new Verifier()
-    val byKey = subexprs.zipWithIndex.groupBy { case (p, _) =>
-      (repro.core.ir.Canon.flatten(p).tableMultiset, p.output.size)
-    }
-    byKey.valuesIterator.flatMap { group =>
-      for {
-        Seq((p1, i1), (p2, i2)) <- group.combinations(2)
-        if av.equivalent(p1, p2)
-      } yield if (i1 < i2) (i1, i2) else (i2, i1)
-    }.toSet
+    SchemaFilter.groups(subexprs).iterator.flatMap(SchemaFilter.pairs)
+      .filter { case (i, j) => av.equivalent(subexprs(i), subexprs(j)) }.toSet
   }
 }

@@ -7,6 +7,7 @@ import org.apache.spark.sql.catalyst.rules.Rule
 import repro.core.ir.Ir
 import repro.core.sf.SchemaFilter
 import repro.verifier.Verifier
+import java.util.concurrent.atomic.LongAdder
 import scala.collection.mutable
 
 /** Computation-reuse cache: materialized subexpression results keyed by
@@ -48,8 +49,10 @@ final class ReuseCache {
 final class ReuseRule(cache: ReuseCache, resolver: CatalystBridge.LeafResolver,
                       verifier: Verifier) extends Rule[LogicalPlan] {
 
+  private val hitCount = new LongAdder
+
   /** Count of successful substitutions (for tests/diagnostics). */
-  @volatile var hits: Long = 0L
+  def hits: Long = hitCount.sum()
 
   override def apply(plan: LogicalPlan): LogicalPlan = rewrite(plan)
 
@@ -68,7 +71,7 @@ final class ReuseRule(cache: ReuseCache, resolver: CatalystBridge.LeafResolver,
           bridged <- CatalystBridge.toIr(p, resolver)
           entry   <- cache.find(bridged.ir, verifier)
         } yield {
-          hits += 1
+          hitCount.increment()
           // Cached relation outputs are positionally aligned with the
           // subtree's outputs (the verifier proved the projection lists
           // correspond); re-alias to the original names and exprIds.

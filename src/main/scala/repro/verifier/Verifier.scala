@@ -3,6 +3,7 @@ package repro.verifier
 import repro.core.ir.Canon
 import repro.core.ir.Canon.Flat
 import repro.core.ir.Ir._
+import java.util.concurrent.atomic.LongAdder
 
 /** Automated verifier (AV): decides semantic equivalence `q₁ ≡ q₂` of SPJ
   * subexpressions with conjunctive difference predicates under bag
@@ -23,11 +24,13 @@ import repro.core.ir.Ir._
   */
 final class Verifier(val smtIters: Int = 1) {
 
+  private val callCount = new LongAdder
+
   /** Number of `equivalent` calls since construction (for bench accounting). */
-  @volatile var calls: Long = 0L
+  def calls: Long = callCount.sum()
 
   def equivalent(p: Plan, q: Plan): Boolean = {
-    calls += 1
+    callCount.increment()
     var verdict = false
     var i = 0
     while (i < smtIters) { verdict = decide(p, q); i += 1 }

@@ -2,8 +2,9 @@ package repro.core.geqo
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.emf.Emf
-import repro.core.encode.EncoderConfig
+import repro.core.encode.{EncoderConfig, NodeVector}
 import repro.core.ir.Catalogs
+import repro.core.sf.SchemaFilter
 import repro.core.vmf.Vmf
 import repro.gen.Workloads
 import repro.verifier.Verifier
@@ -50,6 +51,27 @@ class GEqOSpec extends AnyFunSuite {
     assert(s.afterSf < s.totalPairs, "SF must reject some pairs")
   }
 
+  test("Stats equal the stage counts recomputed from the building blocks") {
+    val subs = es.subexprs
+    val enc = subs.map(NodeVector.encodeInstance(_, cfg))
+    val groups = SchemaFilter.groups(subs)
+    val vmfPairs = groups.flatMap { g =>
+      vmf.candidatePairs(g.map(enc), cfg).map { case (a, b) => (g(a), g(b)) }
+    }
+    val emfPairs = vmfPairs.filter { case (i, j) =>
+      emf.predictProbInstanceEncoded(enc(i), enc(j), cfg) >= 0.3
+    }
+    val check = new Verifier()
+    val verified = emfPairs.count { case (i, j) => check.equivalent(subs(i), subs(j)) }
+
+    val av = new Verifier()
+    val s = new GEqO(emf, vmf, av, cfg, emfThreshold = 0.3).equivalenceSet(subs).stats
+    val want = (es.numPairs, groups.map(g => g.size.toLong * (g.size - 1) / 2).sum,
+                vmfPairs.size.toLong, emfPairs.size.toLong, verified.toLong)
+    assert((s.totalPairs, s.afterSf, s.afterVmf, s.afterEmf, s.verified) == want)
+    assert(av.calls == emfPairs.size)
+  }
+
   test("disabling all filters equals brute-force verification (ground truth)") {
     val small = Workloads.evalWorkload(Catalogs.tpchLite, nSubexprs = 30, nClasses = 4, seed = 34)
     val r = geqo.equivalenceSet(small.subexprs, useSf = false, useVmf = false, useEmf = false)
@@ -94,6 +116,16 @@ class GEqOSpec extends AnyFunSuite {
       checked += 1
     }
     assert(checked > 50)
+  }
+
+  test("GEqO_PAIR short-circuits: an SF reject makes no verifier call") {
+    val subs = es.subexprs
+    val j = subs.indexWhere(q => SchemaFilter.key(q) != SchemaFilter.key(subs(0)))
+    assert(j > 0)
+    val av = new Verifier()
+    val g = new GEqO(emf, vmf, av, cfg, emfThreshold = 0.3)
+    assert(!g.equivalentPair(subs(0), subs(j)))
+    assert(av.calls == 0)
   }
 
   test("stage timings are recorded") {

@@ -46,9 +46,9 @@ class SchemaFilterSpec extends AnyFunSuite {
     }
   }
 
-  test("candidatePairs are exactly the intra-group pairs, i < j") {
+  test("group pairs are exactly the intra-group pairs, i < j") {
     val es = Workloads.evalWorkload(schema, nSubexprs = 30, nClasses = 3, seed = 2)
-    val pairs = SchemaFilter.candidatePairs(es.subexprs)
+    val pairs = SchemaFilter.groups(es.subexprs).flatMap(SchemaFilter.pairs)
     assert(pairs.distinct == pairs)
     pairs.foreach { case (i, j) =>
       assert(i < j)

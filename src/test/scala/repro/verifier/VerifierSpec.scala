@@ -114,6 +114,21 @@ class VerifierSpec extends AnyFunSuite {
     assert(slow.calls == 2)
   }
 
+  test("calls counts every call made from concurrent threads") {
+    val counted = new Verifier()
+    val p = Project(Seq(ColRef("a", "x")), Scan("A", "a", tblA))
+    val q = Project(Seq(ColRef("b", "x"), ColRef("b", "val")), Scan("A", "b", tblA))
+    val threads = 4
+    val perThread = 50000
+    val workers = Seq.fill(threads)(new Thread(() => {
+      var i = 0
+      while (i < perThread) { counted.equivalent(p, q); i += 1 }
+    }))
+    workers.foreach(_.start())
+    workers.foreach(_.join())
+    assert(counted.calls == threads.toLong * perThread)
+  }
+
   test("generated rewrites verify equivalent over both schemas (240 cases)") {
     for (schema <- Seq(Catalogs.tpchLite, Catalogs.tpcdsLite); seed <- 0 until 120) {
       val rng = new Random(seed)
