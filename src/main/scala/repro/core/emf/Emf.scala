@@ -90,16 +90,17 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
     z
   }
 
-  private final case class PairCtx(t1: TowerCtx, t2: TowerCtx, z: Array[Double],
+  private final case class HeadCtx(z: Array[Double],
                                    y1: Array[Double], p1: Array[Double], m1: Array[Double],
                                    y2: Array[Double], p2: Array[Double], m2: Array[Double],
                                    logit: Double)
 
-  private def pairForward(a: EncodedPlan, b: EncodedPlan, training: Boolean,
-                          dropRng: Random): PairCtx = {
-    val t1 = towerForward(a)
-    val t2 = towerForward(b)
-    val z  = pairFeatures(t1.pooled, t2.pooled)
+  /** The pair head over two tower outputs; the only copy, shared by training
+    * and inference.
+    */
+  private def headForward(e1: Array[Double], e2: Array[Double], training: Boolean,
+                          dropRng: Random): HeadCtx = {
+    val z  = pairFeatures(e1, e2)
     val y1 = fc1.forward(z)
     val p1 = actF1.forward(y1)
     val (d1, m1) = drop1.forward(p1, dropRng, training)
@@ -107,17 +108,27 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
     val p2 = actF2.forward(y2)
     val (d2, m2) = drop2.forward(p2, dropRng, training)
     val logit = fc3.forward(d2)(0)
-    PairCtx(t1, t2, z, y1, d1, m1, y2, d2, m2, logit)
+    HeadCtx(z, y1, d1, m1, y2, d2, m2, logit)
+  }
+
+  private final case class PairCtx(t1: TowerCtx, t2: TowerCtx, head: HeadCtx)
+
+  private def pairForward(a: EncodedPlan, b: EncodedPlan, training: Boolean,
+                          dropRng: Random): PairCtx = {
+    val t1 = towerForward(a)
+    val t2 = towerForward(b)
+    PairCtx(t1, t2, headForward(t1.pooled, t2.pooled, training, dropRng))
   }
 
   private def pairBackward(ctx: PairCtx, dLogit: Double): Unit = {
-    val gD2 = fc3.backward(ctx.p2, Array(dLogit))
-    val gP2 = drop2.backward(ctx.m2, gD2)
-    val gY2 = actF2.backward(ctx.y2, gP2)
-    val gD1 = fc2.backward(ctx.p1, gY2)
-    val gP1 = drop1.backward(ctx.m1, gD1)
-    val gY1 = actF1.backward(ctx.y1, gP1)
-    val gZ  = fc1.backward(ctx.z, gY1)
+    val h = ctx.head
+    val gD2 = fc3.backward(h.p2, Array(dLogit))
+    val gP2 = drop2.backward(h.m2, gD2)
+    val gY2 = actF2.backward(h.y2, gP2)
+    val gD1 = fc2.backward(h.p1, gY2)
+    val gP1 = drop1.backward(h.m1, gD1)
+    val gY1 = actF1.backward(h.y1, gP1)
+    val gZ  = fc1.backward(h.z, gY1)
     // Split pair-feature gradient back to the two summaries.
     val d = ctx.t1.pooled.length
     val g1 = new Array[Double](d)
@@ -135,7 +146,7 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
   }
 
   def logit(a: EncodedPlan, b: EncodedPlan): Double =
-    pairForward(a, b, training = false, rng).logit
+    pairForward(a, b, training = false, rng).head.logit
 
   /** BCE loss of one pair (no gradient side effects; inference mode). */
   def loss(a: EncodedPlan, b: EncodedPlan, label: Boolean): Double =
@@ -146,12 +157,18 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
     */
   def accumulateGradients(a: EncodedPlan, b: EncodedPlan, label: Boolean): Double = {
     val ctx = pairForward(a, b, training = true, rng)
-    val (l, dLogit) = NnOps.bceWithLogit(ctx.logit, if (label) 1.0 else 0.0)
+    val (l, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
     pairBackward(ctx, dLogit)
     l
   }
 
   def predictProb(a: EncodedPlan, b: EncodedPlan): Double = NnOps.sigmoid(logit(a, b))
+
+  /** `predictProb` of two plans given their summaries `embed(a)` and
+    * `embed(b)`: the pair head alone.
+    */
+  def predictProbEmbedded(e1: Array[Double], e2: Array[Double]): Double =
+    NnOps.sigmoid(headForward(e1, e2, training = false, rng).logit)
 
   /** One pass over `data` in minibatches; returns mean loss. */
   def trainEpoch(data: IndexedSeq[((EncodedPlan, EncodedPlan), Boolean)],
@@ -163,7 +180,7 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
       batch.foreach { i =>
         val ((a, b), label) = data(i)
         val ctx = pairForward(a, b, training = true, epochRng)
-        val (loss, dLogit) = NnOps.bceWithLogit(ctx.logit, if (label) 1.0 else 0.0)
+        val (loss, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
         totalLoss += loss
         pairBackward(ctx, dLogit)
       }
@@ -186,6 +203,14 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
   * under a per-schema [[EncoderConfig]] and converts pairs through the
   * §4.2.1 converter before prediction, so one trained model serves any
   * schema (Table 3/4 transfer setting).
+  *
+  * Batch inference ([[predictProbs]]) runs the tower once per distinct
+  * converted plan. Its memo is keyed by the converted [[EncodedPlan]]'s
+  * contents (node vectors and tree shape, compared deeply): the tower is a
+  * pure function of that input, so the key is exact, and it also catches
+  * identical plans and masks that leave a plan's own dimensions in place.
+  * The memo lives for one call only, because `fit` (e.g. SSFL fine-tuning)
+  * changes the towers between calls.
   */
 final class Emf(val agn: EncoderConfig = EncoderConfig.agnostic(), seed: Long = 42,
                 dropout: Double = 0.5) {
@@ -206,13 +231,26 @@ final class Emf(val agn: EncoderConfig = EncoderConfig.agnostic(), seed: Long = 
     model.predictProb(a, b)
   }
 
-  /** Prediction over pre-computed instance encodings (pairwise conversion
-    * through the §4.2.1 converter) — the online-inference fast path.
+  /** EMF probabilities of `pairs` (indices into `instEnc`, the instance
+    * encodings under `inst`), one per pair in order. Each pair goes through
+    * the §4.2.1 converter; each distinct converted plan goes through the
+    * tower once per call; the pair head runs per pair. Every score equals
+    * `model.predictProb` of the pair's `DbAgnostic.encodePair`.
     */
-  def predictProbInstanceEncoded(a: EncodedPlan, b: EncodedPlan, inst: EncoderConfig): Double = {
-    val (ca, cb) = DbAgnostic.encodePair(a, b, inst, agn)
-    model.predictProb(ca, cb)
+  def predictProbs(instEnc: IndexedSeq[EncodedPlan], pairs: IterableOnce[(Int, Int)],
+                   inst: EncoderConfig): Array[Double] = {
+    val towers = new java.util.HashMap[TowerInput, Array[Double]]
+    def tower(ep: EncodedPlan): Array[Double] =
+      towers.computeIfAbsent(new TowerInput(ep), _ => model.embed(ep))
+    pairs.iterator.map { case (i, j) =>
+      val (a, b) = DbAgnostic.encodePair(instEnc(i), instEnc(j), inst, agn)
+      model.predictProbEmbedded(tower(a), tower(b))
+    }.toArray
   }
+
+  /** [[predictProbs]] of the one pair `(a, b)` of instance encodings. */
+  def predictProbInstanceEncoded(a: EncodedPlan, b: EncodedPlan, inst: EncoderConfig): Double =
+    predictProbs(Vector(a, b), Iterator((0, 1)), inst)(0)
 
   def predict(p: Plan, q: Plan, inst: EncoderConfig, threshold: Double = 0.5): Boolean =
     predictProb(p, q, inst) >= threshold
@@ -240,5 +278,24 @@ final class Emf(val agn: EncoderConfig = EncoderConfig.agnostic(), seed: Long = 
       i += 1
     }
     out
+  }
+}
+
+/** A tower input keyed by its contents: node vectors and child links. */
+private final class TowerInput(val ep: EncodedPlan) {
+  import java.util.Arrays
+
+  override val hashCode: Int = {
+    var h = 31 * Arrays.hashCode(ep.left) + Arrays.hashCode(ep.right)
+    ep.nodes.foreach(v => h = 31 * h + Arrays.hashCode(v))
+    h
+  }
+
+  override def equals(other: Any): Boolean = other match {
+    case o: TowerInput =>
+      val a = ep; val b = o.ep
+      a.numNodes == b.numNodes && Arrays.equals(a.left, b.left) && Arrays.equals(a.right, b.right) &&
+        a.nodes.indices.forall(i => Arrays.equals(a.nodes(i), b.nodes(i)))
+    case _ => false
   }
 }

@@ -83,31 +83,32 @@ object DbAgnostic {
       }
     })
 
-    // Rank surviving tables; instance dims are sorted, so rank order is the
-    // symbolization order.
-    val tableRank: Map[String, Int] =
-      inst.tables.indices.filter(tMask).map(inst.tables).zipWithIndex.toMap
-
-    // Target slot for each surviving instance column dim, or -1 (overflow).
+    // Rank surviving tables, and surviving columns within their table;
+    // instance dims are sorted, so rank order is the symbolization order.
+    // Targets are slots in the symbolic layout, or -1 (overflow).
+    val tableTarget = Array.fill(inst.nT)(-1)
+    val tableRank = new Array[Int](inst.nT)
+    var rank = 0
+    var i = 0
+    while (i < inst.nT) {
+      if (tMask(i)) {
+        tableRank(i) = rank
+        if (rank < maxTables) tableTarget(i) = rank
+        rank += 1
+      }
+      i += 1
+    }
     val colTarget = Array.fill(inst.nC)(-1)
-    val perTableCount = scala.collection.mutable.Map.empty[String, Int]
+    val perTableCount = new Array[Int](inst.nT)
     var j = 0
     while (j < inst.nC) {
-      if (cMask(j)) {
-        val key = inst.columns(j)
-        val table = key.substring(0, key.indexOf('.'))
-        val rank = tableRank.getOrElse(table, Int.MaxValue)
-        val cRank = perTableCount.getOrElse(table, 0)
-        perTableCount(table) = cRank + 1
-        if (rank < maxTables && cRank < maxCols) colTarget(j) = rank * maxCols + cRank
+      val t = inst.columnTable(j)
+      if (cMask(j) && t >= 0 && tMask(t)) {
+        val cRank = perTableCount(t)
+        perTableCount(t) = cRank + 1
+        if (tableRank(t) < maxTables && cRank < maxCols) colTarget(j) = tableRank(t) * maxCols + cRank
       }
       j += 1
-    }
-    val tableTarget = Array.tabulate(inst.nT) { i =>
-      if (tMask(i)) {
-        val r = tableRank(inst.tables(i))
-        if (r < maxTables) r else -1
-      } else -1
     }
 
     def scatter(src: Array[Double], srcOff: Int, dst: Array[Double], dstOff: Int,

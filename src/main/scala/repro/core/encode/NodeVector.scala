@@ -32,6 +32,13 @@ final case class EncoderConfig(tables: IndexedSeq[String], columns: IndexedSeq[S
   val columnIdx: Map[String, Int] = columns.zipWithIndex.toMap
   val opIdx: Map[CmpOp, Int]      = AllOps.zipWithIndex.toMap
   val joinIdx: Map[JoinType, Int] = AllJoinTypes.zipWithIndex.toMap
+  /** Index into `tables` of each column's table (its name up to the first
+    * '.'), or −1 when `tables` does not hold it.
+    */
+  val columnTable: Array[Int] = columns.map { c =>
+    val dot = c.indexOf('.')
+    if (dot < 0) -1 else tableIdx.getOrElse(c.substring(0, dot), -1)
+  }.toArray
 
   // Segment offsets within the NV.
   val offTable: Int  = 0

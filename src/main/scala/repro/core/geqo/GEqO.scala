@@ -53,9 +53,8 @@ final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
     }
     val (emfPairs, emfNanos) = timed {
       if (!useEmf) vmfPairs
-      else vmfPairs.filter { case (i, j) =>
-        emf.predictProbInstanceEncoded(instEnc(i), instEnc(j), inst) >= emfThreshold
-      }
+      else vmfPairs.zip(emf.predictProbs(instEnc, vmfPairs, inst))
+        .collect { case (ij, p) if p >= emfThreshold => ij }
     }
     val (verified, avNanos) = timed {
       emfPairs.filter { case (i, j) => verifier.equivalent(workload(i), workload(j)) }.toSet

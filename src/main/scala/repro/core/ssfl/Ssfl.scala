@@ -26,11 +26,8 @@ final class Ssfl(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
   def confidence(workload: IndexedSeq[Plan]): Double = {
     val n = workload.size
     if (n < 2) return 1.0
-    val enc = instEnc(workload)
-    val confident = SchemaFilter.pairs(workload.indices).count { case (i, j) =>
-      val p = emf.predictProbInstanceEncoded(enc(i), enc(j), inst)
-      math.max(p, 1 - p) >= th
-    }
+    val probs = emf.predictProbs(instEnc(workload), SchemaFilter.pairs(workload.indices), inst)
+    val confident = probs.count(p => math.max(p, 1 - p) >= th)
     confident.toDouble / (n.toLong * (n - 1) / 2)
   }
 

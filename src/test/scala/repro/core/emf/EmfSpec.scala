@@ -1,8 +1,9 @@
 package repro.core.emf
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.encode.EncoderConfig
+import repro.core.encode.{DbAgnostic, EncodedPlan, EncoderConfig, NodeVector}
 import repro.core.ir.Catalogs
+import repro.core.sf.SchemaFilter
 import repro.gen.Workloads
 import repro.ml.Confusion
 import scala.util.Random
@@ -104,6 +105,39 @@ class EmfSpec extends AnyFunSuite {
       e.foreach(x => assert(!x.isNaN && !x.isInfinite))
       assert(emf.model.embed(b).length == emf.model.embedDim)
     }
+  }
+
+  test("batch scorer equals per-pair predictProb, also after fine-tuning") {
+    val emf = new Emf(seed = 14)
+    val lps = Workloads.labeledPairs(Catalogs.tpchLite, 8, seed = 14)
+    val base = lps.flatMap(lp => Seq(lp.a, lp.b)).toVector
+    val baseEnc = base.map(NodeVector.encodeInstance(_, tpchCfg))
+    def content(ep: EncodedPlan) = (ep.nodes.map(_.toSeq).toSeq, ep.left.toSeq, ep.right.toSeq)
+    def asFirst(enc: IndexedSeq[EncodedPlan], i: Int, j: Int) =
+      content(DbAgnostic.encodePair(enc(i), enc(j), tpchCfg, emf.agn)._1)
+    // A plan that converts differently under different partners' union
+    // masks; it occurs twice in the workload.
+    val shifted = base.indices.find(i => base.indices.filter(_ != i).map(asFirst(baseEnc, i, _)).distinct.size > 1)
+    assert(shifted.isDefined, "no plan's conversion depends on its partner")
+    val plans = base :+ base(shifted.get)
+    val enc = plans.map(NodeVector.encodeInstance(_, tpchCfg))
+    val pairs = SchemaFilter.pairs(plans.indices).toVector
+    val converted = pairs.map { case (i, j) => DbAgnostic.encodePair(enc(i), enc(j), tpchCfg, emf.agn) }
+    def perPair(): Seq[Double] = converted.map { case (a, b) => emf.model.predictProb(a, b) }
+    val inputs = converted.flatMap { case (a, b) => Seq(content(a), content(b)) }
+    assert(inputs.distinct.size < inputs.size, "no tower input repeats")
+
+    val before = emf.predictProbs(enc, pairs, tpchCfg)
+    assert(before.toSeq == perPair())
+    pairs.zip(before).foreach { case ((i, j), p) =>
+      assert(emf.predictProbInstanceEncoded(enc(i), enc(j), tpchCfg) == p)
+    }
+
+    val train = lps.map(lp => (lp.a, lp.b, lp.label))
+    emf.fit(train, tpchCfg, epochs = 1, batchSize = train.size)
+    val after = emf.predictProbs(enc, pairs, tpchCfg)
+    assert(after.toSeq != before.toSeq, "fine-tuning left the model unchanged")
+    assert(after.toSeq == perPair())
   }
 
   test("pooledFeatures has the 2×|NV| concat layout for RF/LR baselines") {

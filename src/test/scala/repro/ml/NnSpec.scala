@@ -98,6 +98,48 @@ class NnSpec extends AnyFunSuite {
     }
   }
 
+  test("TreeConv and Dense on sparse inputs equal a dense mat-vec reference exactly") {
+    val rng = new Random(8)
+    val (in, out) = (78, 64)
+    val layer = new TreeConv(in, out, rng)
+    layer.b.initUniform(rng, 0.5)
+    val left  = Array(1, 3, -1, -1, -1)
+    val right = Array(2, 4, -1, -1, -1)
+    // One-hot segments (1–5 non-zeros), non-unit constants, one dense node
+    // and one all-zero node.
+    val nodes = Array.fill(5)(new Array[Double](in))
+    for (n <- Seq(0, 2, 3); _ <- 0 until 1 + rng.nextInt(5)) nodes(n)(rng.nextInt(in)) = 1.0
+    nodes(2)(40) = -0.3; nodes(3)(77) = 2.5
+    nodes(1) = Array.fill(in)(rng.nextDouble() * 2 - 1)
+
+    def matVec(w: Param, x: Array[Double], o: Int): Double = {
+      var s = 0.0
+      for (i <- 0 until in) s += w.v(o * in + i) * x(i)
+      s
+    }
+    val want = Array.tabulate(5, out) { (n, o) =>
+      var y = matVec(layer.ws, nodes(n), o)
+      if (left(n) >= 0) y += matVec(layer.wl, nodes(left(n)), o)
+      if (right(n) >= 0) y += matVec(layer.wr, nodes(right(n)), o)
+      y + layer.b.v(o)
+    }
+    val got = layer.forward(nodes, left, right)
+    for (n <- 0 until 5; o <- 0 until out)
+      assert(got(n)(o) == want(n)(o), s"node=$n out=$o: ${got(n)(o)} vs ${want(n)(o)}")
+
+    // Dense shares the row sums; its reference starts each sum at the bias.
+    val fc = new Dense(in, 7, rng)
+    fc.b.initUniform(rng, 0.5)
+    for (x <- nodes) {
+      val dense = Array.tabulate(7) { o =>
+        var s = fc.b.v(o)
+        for (i <- 0 until in) s += fc.w.v(o * in + i) * x(i)
+        s
+      }
+      assert(fc.forward(x).toSeq == dense.toSeq)
+    }
+  }
+
   test("MaxPool routes gradient to the argmax") {
     val nodes = Array(Array(1.0, 5.0), Array(3.0, 2.0), Array(2.0, 4.0))
     val (y, arg) = MaxPool.forward(nodes)
