@@ -1,5 +1,7 @@
 package repro.core.emf
 
+import java.util.concurrent.ConcurrentHashMap
+import repro.Par
 import repro.core.encode.{DbAgnostic, EncodedPlan, EncoderConfig, NodeVector}
 import repro.core.ir.Ir.Plan
 import repro.ml._
@@ -15,6 +17,12 @@ import scala.util.Random
   *
   * Deviation noted in DESIGN.md: the FC input is the siamese pairing
   * `[e1, e2, |e1−e2|, e1⊙e2]` and batch norm is omitted.
+  *
+  * Scoring (`embed`, `logit`, `loss`, `predictProb`, `predictProbEmbedded`)
+  * reads the parameters only and draws no random numbers, so it is safe to
+  * call from several threads at once. Training (`fit`, `trainEpoch`,
+  * `accumulateGradients`) writes the parameters and the shared generator,
+  * so it must not run at the same time as scoring.
   */
 final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
                      fc1Out: Int = 64, fc2Out: Int = 32,
@@ -96,28 +104,29 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
                                    logit: Double)
 
   /** The pair head over two tower outputs; the only copy, shared by training
-    * and inference.
+    * and inference. `dropRng` is the dropout generator when training and
+    * `None` at inference, which reads no random state.
     */
-  private def headForward(e1: Array[Double], e2: Array[Double], training: Boolean,
-                          dropRng: Random): HeadCtx = {
+  private def headForward(e1: Array[Double], e2: Array[Double],
+                          dropRng: Option[Random]): HeadCtx = {
+    val training = dropRng.isDefined
     val z  = pairFeatures(e1, e2)
     val y1 = fc1.forward(z)
     val p1 = actF1.forward(y1)
-    val (d1, m1) = drop1.forward(p1, dropRng, training)
+    val (d1, m1) = drop1.forward(p1, dropRng.orNull, training)
     val y2 = fc2.forward(d1)
     val p2 = actF2.forward(y2)
-    val (d2, m2) = drop2.forward(p2, dropRng, training)
+    val (d2, m2) = drop2.forward(p2, dropRng.orNull, training)
     val logit = fc3.forward(d2)(0)
     HeadCtx(z, y1, d1, m1, y2, d2, m2, logit)
   }
 
   private final case class PairCtx(t1: TowerCtx, t2: TowerCtx, head: HeadCtx)
 
-  private def pairForward(a: EncodedPlan, b: EncodedPlan, training: Boolean,
-                          dropRng: Random): PairCtx = {
+  private def pairForward(a: EncodedPlan, b: EncodedPlan, dropRng: Option[Random]): PairCtx = {
     val t1 = towerForward(a)
     val t2 = towerForward(b)
-    PairCtx(t1, t2, headForward(t1.pooled, t2.pooled, training, dropRng))
+    PairCtx(t1, t2, headForward(t1.pooled, t2.pooled, dropRng))
   }
 
   private def pairBackward(ctx: PairCtx, dLogit: Double): Unit = {
@@ -146,7 +155,7 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
   }
 
   def logit(a: EncodedPlan, b: EncodedPlan): Double =
-    pairForward(a, b, training = false, rng).head.logit
+    pairForward(a, b, None).head.logit
 
   /** BCE loss of one pair (no gradient side effects; inference mode). */
   def loss(a: EncodedPlan, b: EncodedPlan, label: Boolean): Double =
@@ -156,7 +165,7 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
     * (deterministic when dropout is 0) — used by gradient-check tests.
     */
   def accumulateGradients(a: EncodedPlan, b: EncodedPlan, label: Boolean): Double = {
-    val ctx = pairForward(a, b, training = true, rng)
+    val ctx = pairForward(a, b, Some(rng))
     val (l, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
     pairBackward(ctx, dLogit)
     l
@@ -168,7 +177,7 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
     * `embed(b)`: the pair head alone.
     */
   def predictProbEmbedded(e1: Array[Double], e2: Array[Double]): Double =
-    NnOps.sigmoid(headForward(e1, e2, training = false, rng).logit)
+    NnOps.sigmoid(headForward(e1, e2, None).logit)
 
   /** One pass over `data` in minibatches; returns mean loss. */
   def trainEpoch(data: IndexedSeq[((EncodedPlan, EncodedPlan), Boolean)],
@@ -179,7 +188,7 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
       opt.zeroGrad()
       batch.foreach { i =>
         val ((a, b), label) = data(i)
-        val ctx = pairForward(a, b, training = true, epochRng)
+        val ctx = pairForward(a, b, Some(epochRng))
         val (loss, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
         totalLoss += loss
         pairBackward(ctx, dLogit)
@@ -204,13 +213,13 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
   * §4.2.1 converter before prediction, so one trained model serves any
   * schema (Table 3/4 transfer setting).
   *
-  * Batch inference ([[predictProbs]]) runs the tower once per distinct
-  * converted plan. Its memo is keyed by the converted [[EncodedPlan]]'s
-  * contents (node vectors and tree shape, compared deeply): the tower is a
-  * pure function of that input, so the key is exact, and it also catches
-  * identical plans and masks that leave a plan's own dimensions in place.
-  * The memo lives for one call only, because `fit` (e.g. SSFL fine-tuning)
-  * changes the towers between calls.
+  * Batch inference ([[predictProbs]]) scores its pairs in parallel and runs
+  * the tower about once per distinct converted plan. Its memo is keyed by the
+  * converted [[EncodedPlan]]'s contents (node vectors and tree shape,
+  * compared deeply): the tower is a pure function of that input, so the key
+  * is exact, and it also catches identical plans and masks that leave a
+  * plan's own dimensions in place. The memo lives for one call only, because
+  * `fit` (e.g. SSFL fine-tuning) changes the towers between calls.
   */
 final class Emf(val agn: EncoderConfig = EncoderConfig.agnostic(), seed: Long = 42,
                 dropout: Double = 0.5) {
@@ -234,18 +243,33 @@ final class Emf(val agn: EncoderConfig = EncoderConfig.agnostic(), seed: Long = 
   /** EMF probabilities of `pairs` (indices into `instEnc`, the instance
     * encodings under `inst`), one per pair in order. Each pair goes through
     * the §4.2.1 converter; each distinct converted plan goes through the
-    * tower once per call; the pair head runs per pair. Every score equals
-    * `model.predictProb` of the pair's `DbAgnostic.encodePair`.
+    * tower about once per call; the pair head runs per pair. Every score
+    * equals `model.predictProb` of the pair's `DbAgnostic.encodePair`.
+    *
+    * Pairs are scored in parallel, score `k` into slot `k`. The memo is read
+    * with `get` and filled with `putIfAbsent`, so no lock is held while a
+    * tower runs. Two threads may both compute one tower; both get the same
+    * output, because the tower is a pure function of its input.
     */
   def predictProbs(instEnc: IndexedSeq[EncodedPlan], pairs: IterableOnce[(Int, Int)],
                    inst: EncoderConfig): Array[Double] = {
-    val towers = new java.util.HashMap[TowerInput, Array[Double]]
-    def tower(ep: EncodedPlan): Array[Double] =
-      towers.computeIfAbsent(new TowerInput(ep), _ => model.embed(ep))
-    pairs.iterator.map { case (i, j) =>
+    val ps = IndexedSeq.from(pairs)
+    val towers = new ConcurrentHashMap[TowerInput, Array[Double]]
+    def tower(ep: EncodedPlan): Array[Double] = {
+      val key = new TowerInput(ep)
+      val hit = towers.get(key)
+      if (hit != null) hit
+      else {
+        val out = model.embed(ep)
+        val raced = towers.putIfAbsent(key, out)
+        if (raced != null) raced else out
+      }
+    }
+    Par.tabulate(ps.size) { k =>
+      val (i, j) = ps(k)
       val (a, b) = DbAgnostic.encodePair(instEnc(i), instEnc(j), inst, agn)
       model.predictProbEmbedded(tower(a), tower(b))
-    }.toArray
+    }
   }
 
   /** [[predictProbs]] of the one pair `(a, b)` of instance encodings. */

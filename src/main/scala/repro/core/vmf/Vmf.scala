@@ -1,5 +1,6 @@
 package repro.core.vmf
 
+import repro.Par
 import repro.ann.Hnsw
 import repro.core.emf.Emf
 import repro.core.encode.{DbAgnostic, EncodedPlan, EncoderConfig, NodeVector}
@@ -18,8 +19,11 @@ final class Vmf(val emf: Emf, val tau: Double, hnswEf: Int = 48) {
     DbAgnostic.convert(instanceEncoded, inst, emf.agn).map(emf.model.embed).toVector
 
   /** Candidate (i, j) pairs (indices into `group`, i < j) whose embeddings
-    * fall within τ. Small groups use exact distances; larger ones go through
-    * the HNSW index (O(n log n) total, §2.4).
+    * fall within τ, ordered by `i`. Small groups use exact distances; larger
+    * ones go through the HNSW index (O(n log n) total, §2.4). The index is
+    * built serially, since `add` mutates the graph; the per-point radius
+    * queries only read it and run in parallel, query `i` filling slot `i`.
+    * Each `(i, j)` comes only from query `i`, whose ids are distinct.
     */
   def candidatePairs(instanceEncoded: IndexedSeq[EncodedPlan], inst: EncoderConfig,
                      bruteForceBelow: Int = 64): Vector[(Int, Int)] = {
@@ -32,24 +36,26 @@ final class Vmf(val emf: Emf, val tau: Double, hnswEf: Int = 48) {
     else {
       val index = new Hnsw(embs.head.length, seed = 7)
       embs.foreach(index.add)
-      (for {
-        i <- 0 until n
-        (j, _) <- index.radius(embs(i), tau, hnswEf)
-        if j > i
-      } yield (i, j)).toVector.distinct
+      Par.tabulate(n) { i =>
+        index.radius(embs(i), tau, hnswEf).collect { case (j, _) if j > i => (i, j) }
+      }.iterator.flatten.toVector
     }
   }
 
   /** The VMF stage over a workload: each group (ascending indices into
     * `instEnc`, e.g. from `SchemaFilter.groups`) goes through
     * [[candidatePairs]], and its pairs come back as workload indices
-    * (i < j), group by group.
+    * (i < j), group by group. The groups run in parallel and their pairs are
+    * concatenated in group order, as a serial loop would.
     */
   def candidates(groups: Seq[IndexedSeq[Int]], instEnc: IndexedSeq[EncodedPlan],
-                 inst: EncoderConfig): Vector[(Int, Int)] =
-    groups.iterator.flatMap { g =>
+                 inst: EncoderConfig): Vector[(Int, Int)] = {
+    val gs = groups.toIndexedSeq
+    Par.tabulate(gs.size) { k =>
+      val g = gs(k)
       candidatePairs(g.map(instEnc), inst).map { case (a, b) => (g(a), g(b)) }
-    }.toVector
+    }.iterator.flatten.toVector
+  }
 
   /** Pairwise admission (the 2-ary special case). */
   def admits(p: Plan, q: Plan, inst: EncoderConfig): Boolean =

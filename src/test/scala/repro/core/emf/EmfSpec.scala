@@ -126,18 +126,35 @@ class EmfSpec extends AnyFunSuite {
     def perPair(): Seq[Double] = converted.map { case (a, b) => emf.model.predictProb(a, b) }
     val inputs = converted.flatMap { case (a, b) => Seq(content(a), content(b)) }
     assert(inputs.distinct.size < inputs.size, "no tower input repeats")
+    // Enough pairs that the parallel scorer splits them over every worker:
+    // each score is exact, and a second call returns the same array.
+    val wide = Workloads.labeledPairs(Catalogs.tpchLite, 32, seed = 15)
+      .flatMap(lp => Seq(lp.a, lp.b)).toVector
+    val wideEnc = wide.map(NodeVector.encodeInstance(_, tpchCfg))
+    val widePairs = SchemaFilter.pairs(wide.indices).toVector
+    assert(widePairs.size >= 2000)
+    def wideExact(): Unit = {
+      val got = emf.predictProbs(wideEnc, widePairs, tpchCfg)
+      assert(got.toSeq == widePairs.map { case (i, j) =>
+        val (a, b) = DbAgnostic.encodePair(wideEnc(i), wideEnc(j), tpchCfg, emf.agn)
+        emf.model.predictProb(a, b)
+      })
+      assert(emf.predictProbs(wideEnc, widePairs, tpchCfg).sameElements(got))
+    }
 
     val before = emf.predictProbs(enc, pairs, tpchCfg)
     assert(before.toSeq == perPair())
     pairs.zip(before).foreach { case ((i, j), p) =>
       assert(emf.predictProbInstanceEncoded(enc(i), enc(j), tpchCfg) == p)
     }
+    wideExact()
 
     val train = lps.map(lp => (lp.a, lp.b, lp.label))
     emf.fit(train, tpchCfg, epochs = 1, batchSize = train.size)
     val after = emf.predictProbs(enc, pairs, tpchCfg)
     assert(after.toSeq != before.toSeq, "fine-tuning left the model unchanged")
     assert(after.toSeq == perPair())
+    wideExact()
   }
 
   test("pooledFeatures has the 2×|NV| concat layout for RF/LR baselines") {

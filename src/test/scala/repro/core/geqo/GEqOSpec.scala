@@ -62,14 +62,19 @@ class GEqOSpec extends AnyFunSuite {
       emf.predictProbInstanceEncoded(enc(i), enc(j), cfg) >= 0.3
     }
     val check = new Verifier()
-    val verified = emfPairs.count { case (i, j) => check.equivalent(subs(i), subs(j)) }
+    val verified = emfPairs.filter { case (i, j) => check.equivalent(subs(i), subs(j)) }.toSet
 
     val av = new Verifier()
-    val s = new GEqO(emf, vmf, av, cfg, emfThreshold = 0.3).equivalenceSet(subs).stats
+    val r = new GEqO(emf, vmf, av, cfg, emfThreshold = 0.3).equivalenceSet(subs)
+    val s = r.stats
     val want = (es.numPairs, groups.map(g => g.size.toLong * (g.size - 1) / 2).sum,
-                vmfPairs.size.toLong, emfPairs.size.toLong, verified.toLong)
+                vmfPairs.size.toLong, emfPairs.size.toLong, verified.size.toLong)
     assert((s.totalPairs, s.afterSf, s.afterVmf, s.afterEmf, s.verified) == want)
     assert(av.calls == emfPairs.size)
+    // The stage outputs, in order: SSFL samples from the VMF pairs' order.
+    assert(r.vmfPairs == vmfPairs)
+    assert(r.emfPairs == emfPairs)
+    assert(r.equivalences == verified)
   }
 
   test("disabling all filters equals brute-force verification (ground truth)") {

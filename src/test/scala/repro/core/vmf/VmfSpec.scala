@@ -1,6 +1,7 @@
 package repro.core.vmf
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.ann.Hnsw
 import repro.core.emf.Emf
 import repro.core.encode.{EncoderConfig, NodeVector}
 import repro.core.ir.Catalogs
@@ -63,6 +64,31 @@ class VmfSpec extends AnyFunSuite {
     if (brute.nonEmpty)
       assert((brute & hnsw).size.toDouble / brute.size > 0.7,
         s"HNSW found ${(brute & hnsw).size}/${brute.size}")
+  }
+
+  test("parallel HNSW queries and groups equal a serial reference, in order") {
+    val vmf = new Vmf(emf, tau)
+    val es = Workloads.evalWorkload(Catalogs.tpchLite, nSubexprs = 90, nClasses = 10, seed = 25)
+    val groups = SchemaFilter.groups(es.subexprs)
+    // The largest group (39 plans) goes through HNSW with bruteForceBelow = 0.
+    val big = groups.maxBy(_.size)
+    val all = es.subexprs.map(NodeVector.encodeInstance(_, cfg))
+    val enc = big.map(all)
+    val embs = vmf.embedGroup(enc, cfg)
+    val index = new Hnsw(embs.head.length, seed = 7)
+    embs.foreach(index.add)
+    val serial = for {
+      i <- embs.indices.toVector
+      (j, _) <- index.radius(embs(i), tau, 48) // Vmf's default beam width
+      if j > i
+    } yield (i, j)
+    assert(serial.nonEmpty)
+    assert(vmf.candidatePairs(enc, cfg, bruteForceBelow = 0) == serial)
+
+    val perGroup = groups.flatMap { g =>
+      vmf.candidatePairs(g.map(all), cfg).map { case (a, b) => (g(a), g(b)) }
+    }
+    assert(vmf.candidates(groups, all, cfg) == perGroup)
   }
 
   test("candidatePairs finds the planted equivalences within groups") {
