@@ -3,10 +3,11 @@ package repro.ann
 import scala.collection.mutable
 import scala.util.Random
 
-/** Hierarchical Navigable Small World index (Malkov & Yashunin [35]) — the
-  * ANN substrate behind the VMF (§2.2, Def 2.1). FAISS substitute; supports
-  * kNN and Euclidean radius search. Insertion is O(log n) expected, matching
-  * the complexity the paper assumes for the VMF (§2.4).
+/** Hierarchical Navigable Small World index (Malkov & Yashunin [35]), the
+  * FAISS substitute for the paper's ANN search (§2.4); supports kNN and
+  * Euclidean radius search, with O(log n) expected insertion. The VMF does
+  * not use it: it scans its small SF groups exactly. `Hnsw.dist` is the one
+  * embedding distance of the VMF and its calibration.
   */
 final class Hnsw(val dim: Int, m: Int = 12, efConstruction: Int = 64, seed: Long = 0) {
   private val mL = 1.0 / math.log(m.toDouble)

@@ -16,10 +16,10 @@ import repro.verifier.Verifier
   * the whole workload forms one group; with VMF off, all intra-group pairs
   * reach the EMF; with EMF off, VMF survivors go straight to the AV.
   *
-  * The VMF stage runs its SF groups (and a large group's HNSW radius
-  * queries) in parallel, and the EMF stage its pairs; each keeps the serial
-  * order and scores, so every result equals a one-thread run. The AV runs
-  * on the calling thread, as the exact path it is compared with does.
+  * The VMF stage runs its SF groups in parallel, and the EMF stage its
+  * pairs; each keeps the serial order and scores, so every result equals a
+  * one-thread run. The AV runs on the calling thread, as the exact path it
+  * is compared with does.
   */
 final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
                  val inst: EncoderConfig, emfThreshold: Double = 0.5) {

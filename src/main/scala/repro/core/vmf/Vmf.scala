@@ -9,37 +9,25 @@ import repro.core.sf.SchemaFilter
 
 /** The vector matching filter (VMF, §2.2, Definition 2.1): embed each
   * subexpression of an SF-group with the EMF's learned tree convolutions
-  * over the group's n-ary db-agnostic encoding (§4.2.2), then admit pairs
-  * within Euclidean distance τ via HNSW radius search.
+  * over the group's n-ary db-agnostic encoding (§4.2.2), then admit every
+  * pair within Euclidean distance τ by an exact scan of the group's pairs.
   */
-final class Vmf(val emf: Emf, val tau: Double, hnswEf: Int = 48) {
+final class Vmf(val emf: Emf, val tau: Double) {
 
   /** Embed a whole SF-group with the n-ary group encoding. */
   def embedGroup(instanceEncoded: Seq[EncodedPlan], inst: EncoderConfig): Vector[Array[Double]] =
     DbAgnostic.convert(instanceEncoded, inst, emf.agn).map(emf.model.embed).toVector
 
   /** Candidate (i, j) pairs (indices into `group`, i < j) whose embeddings
-    * fall within τ, ordered by `i`. Small groups use exact distances; larger
-    * ones go through the HNSW index (O(n log n) total, §2.4). The index is
-    * built serially, since `add` mutates the graph; the per-point radius
-    * queries only read it and run in parallel, query `i` filling slot `i`.
-    * Each `(i, j)` comes only from query `i`, whose ids are distinct.
+    * fall within τ, in `(i, j)` order. The scan is exact: the paper's ANN
+    * search (§2.4) only keeps this predicate sub-quadratic on one large
+    * set, while SF groups hold tens to a few hundred plans, where scanning
+    * every pair is cheaper than building an index and loses none.
     */
-  def candidatePairs(instanceEncoded: IndexedSeq[EncodedPlan], inst: EncoderConfig,
-                     bruteForceBelow: Int = 64): Vector[(Int, Int)] = {
+  def candidatePairs(instanceEncoded: IndexedSeq[EncodedPlan], inst: EncoderConfig): Vector[(Int, Int)] = {
     val embs = embedGroup(instanceEncoded, inst)
-    val n = embs.size
-    if (n < 2) Vector.empty
-    else if (n <= bruteForceBelow)
-      SchemaFilter.pairs(0 until n)
-        .filter { case (i, j) => Hnsw.dist(embs(i), embs(j)) <= tau }.toVector
-    else {
-      val index = new Hnsw(embs.head.length, seed = 7)
-      embs.foreach(index.add)
-      Par.tabulate(n) { i =>
-        index.radius(embs(i), tau, hnswEf).collect { case (j, _) if j > i => (i, j) }
-      }.iterator.flatten.toVector
-    }
+    SchemaFilter.pairs(embs.indices)
+      .filter { case (i, j) => Hnsw.dist(embs(i), embs(j)) <= tau }.toVector
   }
 
   /** The VMF stage over a workload: each group (ascending indices into

@@ -50,44 +50,31 @@ class VmfSpec extends AnyFunSuite {
       s"VMF TNR ${rejected.toDouble / pairs.size} (tau=$tau)")
   }
 
-  test("candidatePairs brute-force and HNSW paths agree closely") {
+  test("candidatePairs is every in-radius pair of a 317-plan group, in order") {
+    // The VMF-only ablation's input: Table 1's whole workload as one group.
     val vmf = new Vmf(emf, tau)
-    val es = Workloads.evalWorkload(Catalogs.tpchLite, nSubexprs = 90, nClasses = 10, seed = 25)
-    val groups = SchemaFilter.groups(es.subexprs)
-    val big = groups.maxBy(_.size)
-    val enc = big.map(i => NodeVector.encodeInstance(es.subexprs(i), cfg))
-    val brute = vmf.candidatePairs(enc, cfg, bruteForceBelow = Int.MaxValue).toSet
-    val hnsw  = vmf.candidatePairs(enc, cfg, bruteForceBelow = 0).toSet
-    // HNSW is approximate: it must find most of the brute-force pairs and
-    // may not invent pairs outside the radius.
-    hnsw.foreach(p => assert(brute.contains(p), s"HNSW returned out-of-radius pair $p"))
-    if (brute.nonEmpty)
-      assert((brute & hnsw).size.toDouble / brute.size > 0.7,
-        s"HNSW found ${(brute & hnsw).size}/${brute.size}")
+    val inst = EncoderConfig.forSchema(Catalogs.tpcdsLite)
+    val es = Workloads.evalWorkload(Catalogs.tpcdsLite, nSubexprs = 317, nClasses = 50, seed = 7)
+    val enc = es.subexprs.map(NodeVector.encodeInstance(_, inst))
+    val embs = vmf.embedGroup(enc, inst)
+    val inRadius = for {
+      i <- embs.indices.toVector
+      j <- (i + 1) until embs.size
+      if Hnsw.dist(embs(i), embs(j)) <= tau
+    } yield (i, j)
+    assert(inRadius.size > 317)
+    assert(vmf.candidatePairs(enc, inst) == inRadius)
   }
 
-  test("parallel HNSW queries and groups equal a serial reference, in order") {
+  test("parallel groups equal the per-group concatenation, in order") {
     val vmf = new Vmf(emf, tau)
     val es = Workloads.evalWorkload(Catalogs.tpchLite, nSubexprs = 90, nClasses = 10, seed = 25)
     val groups = SchemaFilter.groups(es.subexprs)
-    // The largest group (39 plans) goes through HNSW with bruteForceBelow = 0.
-    val big = groups.maxBy(_.size)
     val all = es.subexprs.map(NodeVector.encodeInstance(_, cfg))
-    val enc = big.map(all)
-    val embs = vmf.embedGroup(enc, cfg)
-    val index = new Hnsw(embs.head.length, seed = 7)
-    embs.foreach(index.add)
-    val serial = for {
-      i <- embs.indices.toVector
-      (j, _) <- index.radius(embs(i), tau, 48) // Vmf's default beam width
-      if j > i
-    } yield (i, j)
-    assert(serial.nonEmpty)
-    assert(vmf.candidatePairs(enc, cfg, bruteForceBelow = 0) == serial)
-
     val perGroup = groups.flatMap { g =>
       vmf.candidatePairs(g.map(all), cfg).map { case (a, b) => (g(a), g(b)) }
     }
+    assert(perGroup.nonEmpty)
     assert(vmf.candidates(groups, all, cfg) == perGroup)
   }
 
