@@ -19,7 +19,8 @@ import scala.util.Random
   * Scale note (DESIGN.md "Substitutions"): training sets are ~4k pairs
   * (paper: ~47k) and the §7.5 workloads keep the paper's ~50k-pair /
   * ~50-equivalence shape. `AvSmtIters` is the documented verifier cost shim
-  * standing in for SPES+Z3 latency; it never affects accuracy numbers.
+  * standing in for SPES+Z3 latency, a fixed ~18 ms per call; it never
+  * affects accuracy numbers.
   */
 object Experiments {
 

@@ -24,22 +24,21 @@ import scala.util.Random
   * `accumulateGradients`) writes the parameters and the shared generator,
   * so it must not run at the same time as scoring.
   */
-final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
-                     fc1Out: Int = 64, fc2Out: Int = 32,
-                     dropout: Double = 0.5, seed: Long = 42) {
+final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
+  import EmfModel._
   private val rng = new Random(seed)
 
-  val conv1 = new TreeConv(nvSize, conv1Out, rng)
+  val conv1 = new TreeConv(nvSize, Conv1Out, rng)
   val act1  = new PRelu(rng)
-  val conv2 = new TreeConv(conv1Out, conv2Out, rng)
+  val conv2 = new TreeConv(Conv1Out, Conv2Out, rng)
   val act2  = new PRelu(rng)
-  val fc1   = new Dense(4 * conv2Out, fc1Out, rng)
+  val fc1   = new Dense(4 * Conv2Out, Fc1Out, rng)
   val actF1 = new PRelu(rng)
   val drop1 = new Dropout(dropout)
-  val fc2   = new Dense(fc1Out, fc2Out, rng)
+  val fc2   = new Dense(Fc1Out, Fc2Out, rng)
   val actF2 = new PRelu(rng)
   val drop2 = new Dropout(dropout)
-  val fc3   = new Dense(fc2Out, 1, rng)
+  val fc3   = new Dense(Fc2Out, 1, rng)
 
   val params: Seq[Param] =
     conv1.params ++ act1.params ++ conv2.params ++ act2.params ++
@@ -181,14 +180,14 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
 
   /** One pass over `data` in minibatches; returns mean loss. */
   def trainEpoch(data: IndexedSeq[((EncodedPlan, EncodedPlan), Boolean)],
-                 batchSize: Int = 32, epochRng: Random = rng): Double = {
-    val idx = epochRng.shuffle(data.indices.toVector)
+                 batchSize: Int = 32): Double = {
+    val idx = rng.shuffle(data.indices.toVector)
     var totalLoss = 0.0
     idx.grouped(batchSize).foreach { batch =>
       opt.zeroGrad()
       batch.foreach { i =>
         val ((a, b), label) = data(i)
-        val ctx = pairForward(a, b, Some(epochRng))
+        val ctx = pairForward(a, b, Some(rng))
         val (loss, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
         totalLoss += loss
         pairBackward(ctx, dLogit)
@@ -207,6 +206,14 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
   }
 }
 
+object EmfModel {
+  /** Layer widths: two tree convolutions, then the pair head's two hidden layers. */
+  private val Conv1Out = 64
+  private val Conv2Out = 32
+  private val Fc1Out   = 64
+  private val Fc2Out   = 32
+}
+
 /** The EMF filter: schema-aware encoding front-end over [[EmfModel]]. The
   * model itself is db-agnostic (§4.2); this wrapper instance-encodes plans
   * under a per-schema [[EncoderConfig]] and converts pairs through the
@@ -221,8 +228,8 @@ final class EmfModel(val nvSize: Int, conv1Out: Int = 64, conv2Out: Int = 32,
   * plan's own dimensions in place. The memo lives for one call only, because
   * `fit` (e.g. SSFL fine-tuning) changes the towers between calls.
   */
-final class Emf(val agn: EncoderConfig = EncoderConfig.agnostic(), seed: Long = 42,
-                dropout: Double = 0.5) {
+final class Emf(seed: Long = 42, dropout: Double = 0.5) {
+  val agn: EncoderConfig = EncoderConfig.agnostic()
   val model = new EmfModel(agn.nvSize, dropout = dropout, seed = seed)
 
   def encodePair(p: Plan, q: Plan, inst: EncoderConfig): (EncodedPlan, EncodedPlan) =

@@ -80,8 +80,6 @@ object EncoderConfig {
   */
 final case class EncodedPlan(nodes: Array[Array[Double]], left: Array[Int], right: Array[Int]) {
   def numNodes: Int = nodes.length
-  def copyNodes: EncodedPlan =
-    EncodedPlan(nodes.map(_.clone()), left, right)
 }
 
 object NodeVector {

@@ -49,7 +49,6 @@ object Canon {
     */
   final case class NormPred(coefs: List[(ColRef, Double)], const: Double, op: NOp) {
     def cols: Set[ColRef] = coefs.map(_._1).toSet
-    def linForm: Lin = Lin(coefs.toMap, const)
 
     /** True when this is a difference-logic constraint the DBM prover and
       * the stochastic renderer handle: ≤ 2 columns with ±1 coefficients, of
@@ -91,8 +90,6 @@ object Canon {
   /** Flattened SPJ normal form: inner joins dissolve into the conjunct set. */
   final case class Flat(atoms: Seq[Scan], conjuncts: Vector[NormPred], proj: Seq[ColRef]) {
     def tableMultiset: Seq[String] = atoms.map(_.table).sorted
-    /** Distinct normalized conjuncts, deterministic order. */
-    def conjunctSet: Vector[NormPred] = conjuncts.distinct.sortBy(_.key)
   }
 
   def flatten(p: Plan): Flat = {

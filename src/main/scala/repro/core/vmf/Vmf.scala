@@ -58,15 +58,17 @@ object Vmf {
     Hnsw.dist(embs(0), embs(1))
   }
 
-  /** Choose τ from labeled pairs: the given quantile of *positive*-pair
-    * embedding distances (≥ max for quantile 1.0), so the VMF admits
-    * equivalences with the near-perfect recall Table 1 requires.
+  /** The quantile of positive-pair distances that [[calibrate]] picks. */
+  private val Quantile = 0.95
+
+  /** Choose τ from labeled pairs: the 95th percentile of *positive*-pair
+    * embedding distances, so the VMF admits equivalences with the
+    * near-perfect recall Table 1 requires.
     */
-  def calibrate(emf: Emf, pairs: Seq[(Plan, Plan, Boolean)], inst: EncoderConfig,
-                quantile: Double = 0.95, slack: Double = 1.0): Double = {
+  def calibrate(emf: Emf, pairs: Seq[(Plan, Plan, Boolean)], inst: EncoderConfig): Double = {
     val dists = pairs.collect { case (p, q, true) => pairDistance(emf, p, q, inst) }.sorted
     require(dists.nonEmpty, "calibrate needs positive pairs")
-    val idx = math.min(dists.size - 1, (quantile * dists.size).toInt)
-    math.max(dists(idx) * slack, 1e-6)
+    val idx = math.min(dists.size - 1, (Quantile * dists.size).toInt)
+    math.max(dists(idx), 1e-6)
   }
 }

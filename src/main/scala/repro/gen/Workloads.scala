@@ -9,6 +9,11 @@ import scala.util.Random
 /** Labeled-dataset and evaluation-workload builders (§5, §7). */
 object Workloads {
 
+  /** Share of `labeledPairs` positives made by the heavy rewrite. */
+  private val HeavyFrac = 0.7
+  /** Share of `evalWorkload`'s planted pairs made by the light rewrite. */
+  private val LightFrac = 0.4
+
   final case class LabeledPair(a: Plan, b: Plan, label: Boolean)
 
   /** Evaluation workload (§7.5 setting): `subexprs` with ground-truth
@@ -25,11 +30,11 @@ object Workloads {
     * arity (schema-compatible, so the SF would not reject them), labeled by
     * the verifier to avoid false negatives.
     *
-    * `heavyFrac` controls how many positives use the heavy rewrite;
+    * `HeavyFrac` of the positives use the heavy rewrite;
     * `maxTables`/`maxFilters` bound query complexity (used by the SSFL
     * degenerate-workload experiment, e.g. maxTables = 1 for "no joins").
     */
-  def labeledPairs(schema: Schema, n: Int, seed: Long, heavyFrac: Double = 0.7,
+  def labeledPairs(schema: Schema, n: Int, seed: Long,
                    maxTables: Int = 3, maxFilters: Int = 3): Vector[LabeledPair] = {
     val rng = new Random(seed)
     val av  = new Verifier()
@@ -41,7 +46,7 @@ object Workloads {
       val spec = QueryGen.specOver(schema, walk, arity, rng, maxFilters)
       val base = QueryGen.assemble(spec, rng)
       if (made % 2 == 0) {
-        val v = Rewrites.variant(base, rng, heavy = rng.nextDouble() < heavyFrac)
+        val v = Rewrites.variant(base, rng, heavy = rng.nextDouble() < HeavyFrac)
         out += LabeledPair(base, v, label = true)
       } else {
         val other = QueryGen.assemble(QueryGen.specOver(schema, walk, arity, rng, maxFilters), rng)
@@ -53,14 +58,13 @@ object Workloads {
   }
 
   /** §7.5-style workload: `nSubexprs` subexpressions whose pairwise space
-    * has ~`nClasses` planted equivalent pairs. `lightFrac` of planted pairs
+    * has ~`nClasses` planted equivalent pairs. `LightFrac` of planted pairs
     * use the light rewrite (within optimizer/signature reach); the rest are
     * heavy. Singletons are drawn over a small pool of table walks so that
     * SF-groups stay populated (keeps SF's TNR in the paper's moderate
     * regime). Ground truth = verifier over all SF-compatible pairs.
     */
-  def evalWorkload(schema: Schema, nSubexprs: Int, nClasses: Int, seed: Long,
-                   lightFrac: Double = 0.4): EvalSet = {
+  def evalWorkload(schema: Schema, nSubexprs: Int, nClasses: Int, seed: Long): EvalSet = {
     val rng = new Random(seed)
     val subs = Vector.newBuilder[Plan]
 
@@ -70,7 +74,7 @@ object Workloads {
     for (_ <- 0 until nClasses) {
       val (walk, arity) = pool(rng.nextInt(pool.size))
       val base = QueryGen.assemble(QueryGen.specOver(schema, walk, arity, rng), rng)
-      val v = Rewrites.variant(base, rng, heavy = rng.nextDouble() >= lightFrac)
+      val v = Rewrites.variant(base, rng, heavy = rng.nextDouble() >= LightFrac)
       subs += base += v
     }
     for (_ <- 0 until (nSubexprs - 2 * nClasses)) {

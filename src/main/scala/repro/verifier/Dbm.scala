@@ -11,7 +11,9 @@ import repro.core.ir.Canon.{NEq, NLe, NLt, NormPred}
   * SPES + Z3; see DESIGN.md "Substitutions"). Bounds carry strictness, and
   * Floyd–Warshall closure detects negative (or zero-weight strict) cycles —
   * sound and complete for this constraint class over ℝ, which is exactly the
-  * class the workload generator emits.
+  * class the workload generator emits. A closed, satisfiable DBM holds the
+  * tightest implied bound on every `u − v` (Dill 1989; Miné 2006), so
+  * [[entails]] decides an implication by one bound lookup.
   */
 final class Dbm private (val vars: IndexedSeq[ColRef]) {
   // Index 0 is the implicit ZERO variable; variable i is vars(i - 1).
@@ -30,40 +32,32 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
     if (c < w(i) || (c == w(i) && s)) { w(i) = c; strict(i) = s }
   }
 
-  /** Assert `np` (must be in difference form). */
-  def add(np: NormPred): Unit = {
-    val s = np.op == NLt
-    np.coefs match {
-      case Nil =>
-        // Constant predicate `c ⊲ 0`.
-        val holds = np.op match {
-          case NLt => np.const < 0
-          case NLe => np.const <= 0
-          case NEq => np.const == 0
-        }
-        if (!holds) contradiction = true
-      case (x, a) :: Nil =>
-        val xi = idx(x)
-        np.op match {
-          case NEq =>
-            // a·x + c = 0 ⇒ x = -c/a; a ∈ {±1}
-            val v = -np.const / a
-            tighten(xi, 0, v, s = false); tighten(0, xi, -v, s = false)
-          case _ =>
-            // a=+1:  x − 0 ⊲ −c ;  a=−1:  0 − x ⊲ −c
-            if (a > 0) tighten(xi, 0, -np.const, s) else tighten(0, xi, -np.const, s)
-        }
-      case (x, a) :: (y, _) :: Nil =>
-        val (u, v) = if (a > 0) (idx(x), idx(y)) else (idx(y), idx(x))
-        np.op match {
-          case NEq =>
-            tighten(u, v, -np.const, s = false); tighten(v, u, np.const, s = false)
-          case _ => tighten(u, v, -np.const, s)
-        }
-      case other =>
-        throw new IllegalArgumentException(s"not difference form: $other")
-    }
+  /** The column pair `(u, v)` of `np` (difference form), read as
+    * `u − v ⊲ −np.const`; ZERO stands in for the missing column of a
+    * one-column conjunct.
+    */
+  private def pair(np: NormPred): (Int, Int) = np.coefs match {
+    case (x, a) :: Nil           => if (a > 0) (idx(x), 0) else (0, idx(x))
+    case (x, a) :: (y, _) :: Nil => if (a > 0) (idx(x), idx(y)) else (idx(y), idx(x))
+    case other => throw new IllegalArgumentException(s"not difference form: $other")
   }
+
+  /** Truth of a constant conjunct `c ⊲ 0`. */
+  private def holds(np: NormPred): Boolean = np.op match {
+    case NLt => np.const < 0
+    case NLe => np.const <= 0
+    case NEq => np.const == 0
+  }
+
+  /** Assert `np` (must be in difference form). */
+  def add(np: NormPred): Unit =
+    if (np.coefs.isEmpty) { if (!holds(np)) contradiction = true }
+    else {
+      val (u, v) = pair(np)
+      val c = -np.const
+      if (np.op == NEq) { tighten(u, v, c, s = false); tighten(v, u, -c, s = false) }
+      else tighten(u, v, c, np.op == NLt)
+    }
 
   /** Floyd–Warshall closure; returns this. */
   def close(): Dbm = {
@@ -102,6 +96,30 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
     false
   }
 
+  /** Does the system imply `np` (difference form)? Always when it is unsat.
+    * Otherwise a constant conjunct is evaluated directly, and `u − v ⊲ c`
+    * holds when the closed bound on `u − v` is at least as tight: below
+    * `c`, or equal to it with `⊲` non-strict or the bound strict. A column
+    * absent from this DBM is unbounded. An equality needs both directions.
+    * Call after [[close]].
+    */
+  def entails(np: NormPred): Boolean =
+    unsat || (
+      if (np.coefs.isEmpty) holds(np)
+      else if (!np.coefs.forall(cv => idx.contains(cv._1))) false
+      else {
+        val (u, v) = pair(np)
+        val c = -np.const
+        if (np.op == NEq) within(u, v, c, s = false) && within(v, u, -c, s = false)
+        else within(u, v, c, np.op == NLt)
+      })
+
+  /** Is the closed bound on `u − v` at least as tight as `u − v ⊲ c`? */
+  private def within(u: Int, v: Int, c: Double, s: Boolean): Boolean = {
+    val i = at(u, v)
+    w(i) < c || (w(i) == c && (strict(i) || !s))
+  }
+
   /** Closed bound `u − v ≤/< c` between two columns (or a column and the
     * ZERO var when one side is None). Infinity when unconstrained.
     */
@@ -125,34 +143,7 @@ object DiffLogic {
 
   def satisfiable(preds: Seq[NormPred]): Boolean = !Dbm(preds).close().unsat
 
-  /** `preds ⟹ q` via UNSAT(preds ∧ ¬q). `¬(lin = 0)` splits into two
-    * strict checks.
-    */
-  def implies(preds: Seq[NormPred], q: NormPred): Boolean = {
-    import repro.core.ir.Canon
-    def unsatWith(extra: NormPred): Boolean = !satisfiable(preds :+ extra)
-    q.op match {
-      case NLt => unsatWith(Canon.toNorm(q.linForm.negate, NLe)) // ¬(l<0) ⇔ −l ≤ 0
-      case NLe => unsatWith(Canon.toNorm(q.linForm.negate, NLt)) // ¬(l≤0) ⇔ −l < 0
-      case NEq =>
-        unsatWith(Canon.toNorm(q.linForm, NLt)) &&
-        unsatWith(Canon.toNorm(q.linForm.negate, NLt))
-    }
-  }
-
-  /** Mutual implication of two conjunct sets (assumed over the same columns
-    * after atom renaming).
-    */
-  def equivalent(p1: Seq[NormPred], p2: Seq[NormPred]): Boolean = {
-    val s1 = satisfiable(p1); val s2 = satisfiable(p2)
-    if (!s1 && !s2) true
-    else if (s1 != s2) false
-    else p2.forall(implies(p1, _)) && p1.forall(implies(p2, _))
-  }
-
   /** Is conjunct `i` implied by the remaining conjuncts? */
-  def redundant(preds: Seq[NormPred], i: Int): Boolean = {
-    val rest = preds.zipWithIndex.collect { case (p, j) if j != i => p }
-    implies(rest, preds(i))
-  }
+  def redundant(preds: Seq[NormPred], i: Int): Boolean =
+    Dbm(preds.patch(i, Nil, 1)).close().entails(preds(i))
 }

@@ -10,17 +10,21 @@ import java.util.concurrent.atomic.LongAdder
   * semantics. Stands in for SPES + Z3 (DESIGN.md "Substitutions").
   *
   * Decision procedure: bag-semantics equivalence of this class holds iff
-  * there is a table-preserving bijection between base-table atoms under
-  * which (i) the projection lists coincide position-wise and (ii) the
-  * conjunct sets mutually imply each other (decided by [[DiffLogic]]), or
-  * both predicates are unsatisfiable (both queries always empty) with equal
-  * output arity. The bijection search backtracks over per-table
-  * permutations.
+  * there is a table-preserving bijection σ: q₂ → q₁ between base-table atoms
+  * under which (i) the projection lists coincide position-wise and (ii) the
+  * conjunct sets mutually imply each other, or both predicates are
+  * unsatisfiable (both queries always empty) with equal output arity. Each
+  * side's [[Dbm]] is closed once per call; mutual implication is decided by
+  * [[Dbm.entails]]: q₁'s closed DBM entails every σ-renamed conjunct of q₂,
+  * and q₂'s entails every σ⁻¹-renamed conjunct of q₁. The bijection search
+  * backtracks over per-table permutations.
   *
-  * `smtIters` is the documented cost shim: the *real* decision procedure is
-  * re-run that many times per call so the per-pair cost matches the
-  * SMT-solver regime of the paper's AV (898 s / ~50k pairs ≈ 18 ms). It
-  * never changes the verdict; accuracy experiments use `smtIters = 1`.
+  * `smtIters` is the documented cost shim: after deciding once, a call
+  * busy-waits `(smtIters − 1) × 6 µs`, so `smtIters = 3000` costs a fixed
+  * ~18 ms per call, the SMT-solver regime of the paper's AV (898.5 s /
+  * 50,086 pairs ≈ 17.9 ms). The wait is a fixed time, so a faster decision
+  * procedure does not shrink the shimmed cost. It never changes the
+  * verdict; `smtIters = 1` waits for nothing and measures the real cost.
   */
 final class Verifier(val smtIters: Int = 1) {
 
@@ -31,9 +35,9 @@ final class Verifier(val smtIters: Int = 1) {
 
   def equivalent(p: Plan, q: Plan): Boolean = {
     callCount.increment()
-    var verdict = false
-    var i = 0
-    while (i < smtIters) { verdict = decide(p, q); i += 1 }
+    val verdict = decide(p, q)
+    val deadline = System.nanoTime() + (smtIters - 1) * Verifier.ShimNanosPerIter
+    while (System.nanoTime() < deadline) Thread.onSpinWait()
     verdict
   }
 
@@ -43,21 +47,29 @@ final class Verifier(val smtIters: Int = 1) {
     if (f1.proj.size != f2.proj.size) return false
     if (f1.tableMultiset != f2.tableMultiset) return false
 
-    val sat1 = DiffLogic.satisfiable(f1.conjuncts)
-    val sat2 = DiffLogic.satisfiable(f2.conjuncts)
-    if (!sat1 && !sat2) return true // both always-empty, arity already equal
-    if (sat1 != sat2) return false
+    val d1 = Dbm(f1.conjuncts).close()
+    val d2 = Dbm(f2.conjuncts).close()
+    // Both always-empty (arity already equal) is equivalent; one alone is not.
+    if (d1.unsat || d2.unsat) return d1.unsat && d2.unsat
 
-    existsBijection(f1, f2)
+    existsBijection(f1, f2) { sub =>
+      f2.proj.map(r => ColRef(sub.getOrElse(r.table, r.table), r.column)) == f1.proj &&
+        f2.conjuncts.forall(c => d1.entails(Canon.rename(c, sub))) && {
+          val inv = sub.map(_.swap)
+          f1.conjuncts.forall(c => d2.entails(Canon.rename(c, inv)))
+        }
+    }
   }
 
-  /** Backtracking search over table-preserving alias bijections σ: q₂ → q₁. */
-  private def existsBijection(f1: Flat, f2: Flat): Boolean = {
+  /** Does `accept` hold under some table-preserving alias bijection
+    * σ: q₂ → q₁? Backtracks over per-table permutations.
+    */
+  private def existsBijection(f1: Flat, f2: Flat)(accept: Map[String, String] => Boolean): Boolean = {
     val byTable1 = f1.atoms.groupBy(_.table).map { case (t, as) => t -> as.map(_.alias) }
     val atoms2   = f2.atoms
 
     def rec(i: Int, used: Set[String], sub: Map[String, String]): Boolean = {
-      if (i == atoms2.size) checkUnder(f1, f2, sub)
+      if (i == atoms2.size) accept(sub)
       else {
         val a2 = atoms2(i)
         byTable1.getOrElse(a2.table, Seq.empty).exists { a1 =>
@@ -67,11 +79,9 @@ final class Verifier(val smtIters: Int = 1) {
     }
     rec(0, Set.empty, Map.empty)
   }
+}
 
-  private def checkUnder(f1: Flat, f2: Flat, sub: Map[String, String]): Boolean = {
-    val proj2 = f2.proj.map(r => ColRef(sub.getOrElse(r.table, r.table), r.column))
-    if (proj2 != f1.proj) return false
-    val conj2 = f2.conjuncts.map(Canon.rename(_, sub))
-    DiffLogic.equivalent(f1.conjuncts, conj2)
-  }
+object Verifier {
+  /** Busy-wait per shim iteration beyond the first (see [[Verifier]]). */
+  private val ShimNanosPerIter = 6000L
 }

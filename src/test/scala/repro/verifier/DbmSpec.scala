@@ -20,6 +20,11 @@ class DbmSpec extends AnyFunSuite {
   private def diff(a: ColRef, op: CmpOp, b: ColRef, v: Double) =
     Canon.normalize(Pred(Col(a), op, Add(Col(b), Lit(v))))
 
+  private def entails(preds: Seq[NormPred], q: NormPred): Boolean = Dbm(preds).close().entails(q)
+  /** Mutual implication: each side's closed DBM entails every conjunct of the other. */
+  private def mutual(p1: Seq[NormPred], p2: Seq[NormPred]): Boolean =
+    p2.forall(entails(p1, _)) && p1.forall(entails(p2, _))
+
   test("empty system is satisfiable") {
     assert(DiffLogic.satisfiable(Seq.empty))
   }
@@ -57,19 +62,19 @@ class DbmSpec extends AnyFunSuite {
   }
 
   test("implies: x > 10 implies x > 5") {
-    assert(DiffLogic.implies(Seq(gt(x, 10)), gt(x, 5)))
-    assert(!DiffLogic.implies(Seq(gt(x, 5)), gt(x, 10)))
+    assert(entails(Seq(gt(x, 10)), gt(x, 5)))
+    assert(!entails(Seq(gt(x, 5)), gt(x, 10)))
   }
 
   test("implies: Figure-1 derivation {x > y + 10, y > 10} ⟹ x > 20") {
     val p = Seq(diff(x, Gt, y, 10), gt(y, 10))
-    assert(DiffLogic.implies(p, gt(x, 20)))
-    assert(!DiffLogic.implies(p, gt(x, 21)))
+    assert(entails(p, gt(x, 20)))
+    assert(!entails(p, gt(x, 21)))
   }
 
   test("implies equality from two inequalities") {
     val p = Seq(le(x, 5), ge(x, 5))
-    assert(DiffLogic.implies(p, eqc(x, 5)))
+    assert(entails(p, eqc(x, 5)))
   }
 
   test("equivalent: Figure-1 predicate sets") {
@@ -79,19 +84,19 @@ class DbmSpec extends AnyFunSuite {
       Canon.normalize(Pred(Add(Col(y), Lit(10)), Lt, Col(x))),
       Canon.normalize(Pred(Add(Col(y), Lit(10)), Gt, Lit(20))),
       gt(x, 20))
-    assert(DiffLogic.equivalent(p1, p2))
+    assert(mutual(p1, p2))
   }
 
   test("equivalent: both unsatisfiable sets are equivalent") {
-    assert(DiffLogic.equivalent(Seq(lt(x, 0), gt(x, 1)), Seq(gt(y, 5), lt(y, 2))))
+    assert(mutual(Seq(lt(x, 0), gt(x, 1)), Seq(gt(y, 5), lt(y, 2))))
   }
 
   test("not equivalent: sat vs unsat") {
-    assert(!DiffLogic.equivalent(Seq(lt(x, 0)), Seq(lt(x, 0), gt(x, 1))))
+    assert(!mutual(Seq(lt(x, 0)), Seq(lt(x, 0), gt(x, 1))))
   }
 
   test("not equivalent: different bounds") {
-    assert(!DiffLogic.equivalent(Seq(lt(x, 5)), Seq(lt(x, 6))))
+    assert(!mutual(Seq(lt(x, 5)), Seq(lt(x, 6))))
   }
 
   test("redundant detects implied conjunct") {
@@ -124,7 +129,7 @@ class DbmSpec extends AnyFunSuite {
       assert(DiffLogic.satisfiable(preds), s"iter $iter: witnessed system reported UNSAT")
       // And anything the system implies must hold under the witness.
       val candidate = lt(x, assign(x) + rng.nextInt(5) + 1)
-      if (DiffLogic.implies(preds, candidate)) {
+      if (entails(preds, candidate)) {
         val lhs = candidate.coefs.map { case (c, v) => v * assign(c) }.sum + candidate.const
         assert(lhs < 0, s"iter $iter: implied predicate violated by witness")
       }
@@ -146,6 +151,47 @@ class DbmSpec extends AnyFunSuite {
     assert(!DiffLogic.satisfiable(Seq(alwaysFalse)))
     val alwaysTrue = Canon.normalize(Pred(Lit(0), Le, Lit(0)))
     assert(DiffLogic.satisfiable(Seq(alwaysTrue)))
-    assert(DiffLogic.implies(Seq(lt(x, 5)), alwaysTrue))
+    assert(entails(Seq(lt(x, 5)), alwaysTrue))
+  }
+
+  test("entails agrees with refutation on random systems") {
+    // Refutation: preds ⟹ q iff preds ∧ ¬q is unsat; ¬(l = 0) is l < 0 ∨ −l < 0,
+    // so an equality is checked as two strict refutations.
+    def refuted(preds: Seq[NormPred], negated: NormPred) = !DiffLogic.satisfiable(preds :+ negated)
+    def negation(q: NormPred, op: NOp) =
+      Canon.toNorm(Lin(q.coefs.map { case (c, v) => c -> -v }.toMap, -q.const), op)
+    def byRefutation(preds: Seq[NormPred], q: NormPred): Boolean = q.op match {
+      case NLt => refuted(preds, negation(q, NLe))
+      case NLe => refuted(preds, negation(q, NLt))
+      case NEq => refuted(preds, q.copy(op = NLt)) && refuted(preds, negation(q, NLt))
+    }
+    val rng = new Random(11)
+    val w = ColRef("a2", "w") // never in a system: an absent column
+    val ops = Vector(Lt, Le, Eq, Ge, Gt)
+    def conjunct(cols: Vector[ColRef]): NormPred = {
+      val op = ops(rng.nextInt(ops.size))
+      def k = Lit((rng.nextInt(7) - 3).toDouble)
+      rng.nextInt(5) match {
+        case 0 => Canon.normalize(Pred(k, op, k)) // constant conjunct
+        case 1 | 2 => Canon.normalize(Pred(Col(cols(rng.nextInt(cols.size))), op, k))
+        case _ =>
+          val a = cols(rng.nextInt(cols.size))
+          val b = cols.filterNot(_ == a)(rng.nextInt(cols.size - 1))
+          Canon.normalize(Pred(Col(a), op, Add(Col(b), k)))
+      }
+    }
+    val seen = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for (iter <- 0 until 3000) {
+      val preds = Vector.fill(rng.nextInt(5))(conjunct(Vector(x, y, z)))
+      val q = conjunct(Vector(x, y, z, w))
+      val got = entails(preds, q)
+      assert(got == byRefutation(preds, q), s"iter $iter: $preds ⟹ $q")
+      if (!DiffLogic.satisfiable(preds)) seen("unsat") += 1
+      if (q.coefs.isEmpty) seen("constant") += 1
+      if (q.op == NEq && got) seen("equality entailed") += 1
+      if (q.cols(w)) seen("absent column") += 1
+      if (q.op == NLt && got) seen("strict entailed") += 1
+    }
+    assert(seen.size == 5 && seen.values.forall(_ >= 20), s"thin coverage: $seen")
   }
 }
