@@ -24,6 +24,7 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
   private val w      = Array.fill(n * n)(Double.PositiveInfinity)
   private val strict = Array.fill(n * n)(false)
   private var contradiction = false
+  private var closedUnsat = false
 
   @inline private def at(u: Int, v: Int): Int = u * n + v
 
@@ -32,14 +33,15 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
     if (c < w(i) || (c == w(i) && s)) { w(i) = c; strict(i) = s }
   }
 
-  /** The column pair `(u, v)` of `np` (difference form), read as
-    * `u − v ⊲ −np.const`; ZERO stands in for the missing column of a
-    * one-column conjunct.
+  /** The column pair `(u, v)` of `np`, read as `u − v ⊲ −np.const`; ZERO
+    * stands in for the missing column of a one-column conjunct. Rejects a
+    * conjunct outside [[NormPred.isDifferenceForm]] (a sum such as
+    * `x + y < 5`, or a coefficient other than ±1), which no pair can hold.
     */
   private def pair(np: NormPred): (Int, Int) = np.coefs match {
-    case (x, a) :: Nil           => if (a > 0) (idx(x), 0) else (0, idx(x))
-    case (x, a) :: (y, _) :: Nil => if (a > 0) (idx(x), idx(y)) else (idx(y), idx(x))
-    case other => throw new IllegalArgumentException(s"not difference form: $other")
+    case (x, a) :: Nil if np.isDifferenceForm           => if (a > 0) (idx(x), 0) else (0, idx(x))
+    case (x, a) :: (y, _) :: Nil if np.isDifferenceForm => if (a > 0) (idx(x), idx(y)) else (idx(y), idx(x))
+    case _ => throw new IllegalArgumentException(s"not difference form: $np")
   }
 
   /** Truth of a constant conjunct `c ⊲ 0`. */
@@ -59,7 +61,7 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
       else tighten(u, v, c, np.op == NLt)
     }
 
-  /** Floyd–Warshall closure; returns this. */
+  /** Floyd–Warshall closure, which also settles [[unsat]]; returns this. */
   def close(): Dbm = {
     var k = 0
     while (k < n) {
@@ -79,22 +81,17 @@ final class Dbm private (val vars: IndexedSeq[ColRef]) {
       }
       k += 1
     }
+    closedUnsat = contradiction || (0 until n).exists { u =>
+      val i = at(u, u)
+      w(i) < 0 || (w(i) == 0 && strict(i))
+    }
     this
   }
 
   /** UNSAT iff a negative cycle (or zero-weight strict cycle) exists. Call
     * after [[close]].
     */
-  def unsat: Boolean = {
-    if (contradiction) return true
-    var u = 0
-    while (u < n) {
-      val i = at(u, u)
-      if (w(i) < 0 || (w(i) == 0 && strict(i))) return true
-      u += 1
-    }
-    false
-  }
+  def unsat: Boolean = closedUnsat
 
   /** Does the system imply `np` (difference form)? Always when it is unsat.
     * Otherwise a constant conjunct is evaluated directly, and `u − v ⊲ c`

@@ -13,7 +13,9 @@ import java.util.concurrent.atomic.LongAdder
   * there is a table-preserving bijection σ: q₂ → q₁ between base-table atoms
   * under which (i) the projection lists coincide position-wise and (ii) the
   * conjunct sets mutually imply each other, or both predicates are
-  * unsatisfiable (both queries always empty) with equal output arity. Each
+  * unsatisfiable (both queries always empty) with equal output arity. A
+  * conjunct outside difference logic (e.g. `x + y < 5`) makes the call
+  * answer false: the verifier only proves what it can decide. Each
   * side's [[Dbm]] is closed once per call; mutual implication is decided by
   * [[Dbm.entails]]: q₁'s closed DBM entails every σ-renamed conjunct of q₂,
   * and q₂'s entails every σ⁻¹-renamed conjunct of q₁. The bijection search
@@ -46,6 +48,9 @@ final class Verifier(val smtIters: Int = 1) {
     val f2 = Canon.flatten(q)
     if (f1.proj.size != f2.proj.size) return false
     if (f1.tableMultiset != f2.tableMultiset) return false
+    // Outside difference logic the DBM cannot read a conjunct; answer "not
+    // equivalent", which is always sound for a reuse decision.
+    if (!f1.conjuncts.forall(_.isDifferenceForm) || !f2.conjuncts.forall(_.isDifferenceForm)) return false
 
     val d1 = Dbm(f1.conjuncts).close()
     val d2 = Dbm(f2.conjuncts).close()

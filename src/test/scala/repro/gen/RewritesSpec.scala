@@ -3,19 +3,14 @@ package repro.gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baseline.Signature
 import repro.core.ir.{Canon, Catalogs}
-import repro.core.ir.Canon.NormPred
-import repro.verifier.{Dbm, Verifier}
+import repro.verifier.Verifier
+import repro.verifier.Entailment.{entails, mutual}
 import scala.util.Random
 
 class RewritesSpec extends AnyFunSuite {
 
   private val av = new Verifier()
   private val schema = Catalogs.tpchLite
-
-  private def entails(preds: Seq[NormPred], q: NormPred): Boolean = Dbm(preds).close().entails(q)
-  /** Mutual implication: each side's closed DBM entails every conjunct of the other. */
-  private def mutual(p1: Seq[NormPred], p2: Seq[NormPred]): Boolean =
-    p2.forall(entails(p1, _)) && p1.forall(entails(p2, _))
 
   test("lightVariant preserves equivalence (100 cases)") {
     for (seed <- 0 until 100) {

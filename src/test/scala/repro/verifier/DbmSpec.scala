@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.ir.Canon
 import repro.core.ir.Canon._
 import repro.core.ir.Ir._
+import repro.verifier.Entailment.{entails, mutual}
 import scala.util.Random
 
 class DbmSpec extends AnyFunSuite {
@@ -19,11 +20,6 @@ class DbmSpec extends AnyFunSuite {
   private def eqc(c: ColRef, v: Double) = Canon.normalize(Pred(Col(c), Eq, Lit(v)))
   private def diff(a: ColRef, op: CmpOp, b: ColRef, v: Double) =
     Canon.normalize(Pred(Col(a), op, Add(Col(b), Lit(v))))
-
-  private def entails(preds: Seq[NormPred], q: NormPred): Boolean = Dbm(preds).close().entails(q)
-  /** Mutual implication: each side's closed DBM entails every conjunct of the other. */
-  private def mutual(p1: Seq[NormPred], p2: Seq[NormPred]): Boolean =
-    p2.forall(entails(p1, _)) && p1.forall(entails(p2, _))
 
   test("empty system is satisfiable") {
     assert(DiffLogic.satisfiable(Seq.empty))
@@ -152,6 +148,15 @@ class DbmSpec extends AnyFunSuite {
     val alwaysTrue = Canon.normalize(Pred(Lit(0), Le, Lit(0)))
     assert(DiffLogic.satisfiable(Seq(alwaysTrue)))
     assert(entails(Seq(lt(x, 5)), alwaysTrue))
+  }
+
+  test("conjuncts outside difference form are rejected, not misread") {
+    val sum = Canon.normalize(Pred(Add(Col(x), Col(y)), Lt, Lit(5)))
+    val twice = Canon.normalize(Pred(Add(Col(x), Col(x)), Eq, Lit(6)))
+    for (np <- Seq(sum, twice)) {
+      assertThrows[IllegalArgumentException](Dbm(Seq(np)))
+      assertThrows[IllegalArgumentException](Dbm(Seq(lt(x, 9), lt(y, 9))).close().entails(np))
+    }
   }
 
   test("entails agrees with refutation on random systems") {

@@ -143,6 +143,27 @@ class VerifierSpec extends AnyFunSuite {
     }
   }
 
+  // Sums and scaled columns lie outside difference logic; the verifier must
+  // not read them as differences or unit bounds.
+  private def overT(pred: Pred): Plan = {
+    val t = Scan("T", "a", Seq("x", "y", "z"))
+    Project(Seq(ColRef("a", "x")), Filter(pred, t))
+  }
+  private val (ax, ay, az) = (Col(ColRef("a", "x")), Col(ColRef("a", "y")), Col(ColRef("a", "z")))
+
+  test("a.x + a.x = 6 is not equivalent to a.x = 6") {
+    assert(!av.equivalent(overT(Pred(Add(ax, ax), Eq, Lit(6))), overT(Pred(ax, Eq, Lit(6)))))
+  }
+
+  test("a.x + a.y < 5 is not equivalent to a.x - a.y < 5") {
+    assert(!av.equivalent(overT(Pred(Add(ax, ay), Lt, Lit(5))), overT(Pred(Sub(ax, ay), Lt, Lit(5)))))
+  }
+
+  test("a three-column sum is answered not equivalent, not thrown") {
+    val sum3 = overT(Pred(Add(Add(ax, ay), az), Lt, Lit(5)))
+    assert(!av.equivalent(sum3, sum3))
+  }
+
   test("mutated constants break equivalence (they are detected)") {
     val rng = new Random(99)
     var checked = 0
@@ -161,7 +182,7 @@ class VerifierSpec extends AnyFunSuite {
         val other = QueryGen.assemble(
           repro.gen.Spec(flat.atoms.toVector, preds, flat.proj.toVector), rng)
         val (p1, p2) = (flat.conjuncts, flat.conjuncts.updated(idx, mutated))
-        val stillEq = p2.forall(Dbm(p1).close().entails) && p1.forall(Dbm(p2).close().entails)
+        val stillEq = Entailment.mutual(p1, p2)
         assert(av.equivalent(base, other) == stillEq, s"seed=$seed")
         checked += 1
       }
