@@ -9,6 +9,10 @@ import org.apache.spark.sql.types._
   * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
   * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
   * the DuckDB oracle sees identical input.
+  *
+  * The TPC-H-lite keys are `INT`: `Sql.render` reads every column through
+  * `CAST(… AS DOUBLE)`, and `CatalystBridge` strips that cast only where it
+  * keeps every value, which a `BIGINT` column's does not.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -22,8 +26,8 @@ object SynthData {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NLineitemPerSf, sf)).select(
-      (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
-      (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
+      (rand(seed)     * nOrders + 1).cast(IntegerType) as "l_orderkey",
+      (rand(seed + 1) * nPart   + 1).cast(IntegerType) as "l_partkey",
       (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
       (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
       round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
@@ -42,8 +46,8 @@ object SynthData {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
     spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
-      $"o_orderkey",
-      (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
+      $"o_orderkey".cast(IntegerType)                          as "o_orderkey",
+      (rand(seed)     * nCust + 1).cast(IntegerType)          as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
                  (rand(seed + 1) * 3 + 1).cast("int"))         as "o_orderstatus",
       round(rand(seed + 2) * 500000 + 1000, 2)                 as "o_totalprice",
@@ -55,7 +59,7 @@ object SynthData {
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
     spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
-      $"c_custkey",
+      $"c_custkey".cast(IntegerType)                     as "c_custkey",
       (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
       round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
       element_at(array(lit("BUILDING"), lit("AUTOMOBILE"), lit("MACHINERY"),
@@ -67,7 +71,7 @@ object SynthData {
   def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
     import spark.implicits._
     spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
-      $"p_partkey",
+      $"p_partkey".cast(IntegerType)                            as "p_partkey",
       element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
                        lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
                  (rand(seed) * 6 + 1).cast("int"))              as "p_type",

@@ -21,8 +21,20 @@ import scala.util.Random
   * Scoring (`embed`, `logit`, `loss`, `predictProb`, `predictProbEmbedded`)
   * reads the parameters only and draws no random numbers, so it is safe to
   * call from several threads at once. Training (`fit`, `trainEpoch`,
-  * `accumulateGradients`) writes the parameters and the shared generator,
-  * so it must not run at the same time as scoring.
+  * `accumulateGradients`) writes the parameters, the gradients and the
+  * shared generator, so nothing else may use the model while it runs: no
+  * scoring and no second training call.
+  *
+  * `trainEpoch` gives the parameters of a one-thread run, bit for bit. Each
+  * minibatch draws its examples' dropout masks on the calling thread, in the
+  * one-thread order (example by example, `drop1` then `drop2`, from the one
+  * generator). It then runs each example's forward pass and the input half
+  * of its backward pass (every layer's output gradient) in parallel through
+  * `repro.Par.tabulate`; these only read the parameters. Next it adds the
+  * examples' terms to the shared gradients in example order. That work is
+  * split into three groups of layers that share no parameter, run side by
+  * side, so every gradient sum adds its terms in the one-thread order. Last
+  * it takes one Adam step.
   */
 final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
   import EmfModel._
@@ -67,12 +79,19 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
     TowerCtx(ep, h1, a1, h2, a2, pooled, arg)
   }
 
-  private def towerBackward(ctx: TowerCtx, gPooled: Array[Double]): Unit = {
-    val gA2 = MaxPool.backward(ctx.a2.length, ctx.arg, gPooled)
-    val gH2 = ctx.h2.indices.map(i => act2.backward(ctx.h2(i), gA2(i))).toArray
-    val gA1 = conv2.backward(ctx.a1, ctx.ep.left, ctx.ep.right, gH2)
-    val gH1 = ctx.h1.indices.map(i => act1.backward(ctx.h1(i), gA1(i))).toArray
-    conv1.backward(ctx.ep.nodes, ctx.ep.left, ctx.ep.right, gH1)
+  /** A tower's output gradients, one row per node: of `act2` (`gA2`),
+    * `conv2` (`gH2`), `act1` (`gA1`) and `conv1` (`gH1`). The input gradient
+    * of `conv1` is never needed, so it is not computed.
+    */
+  private final case class TowerGrads(gA2: Array[Array[Double]], gH2: Array[Array[Double]],
+                                      gA1: Array[Array[Double]], gH1: Array[Array[Double]])
+
+  private def towerGrads(t: TowerCtx, gPooled: Array[Double]): TowerGrads = {
+    val gA2 = MaxPool.backward(t.a2.length, t.arg, gPooled)
+    val gH2 = Array.tabulate(gA2.length)(i => act2.inputGrad(t.h2(i), gA2(i)))
+    val gA1 = conv2.inputGrads(t.ep.left, t.ep.right, gH2)
+    val gH1 = Array.tabulate(gA1.length)(i => act1.inputGrad(t.h1(i), gA1(i)))
+    TowerGrads(gA2, gH2, gA1, gH1)
   }
 
   /** Plan summary via the trained tree convolutions — this is the embedding
@@ -97,46 +116,65 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
     z
   }
 
+  /** One training example's dropout masks; a mask is null when dropout is 0. */
+  private final case class Masks(m1: Array[Double], m2: Array[Double])
+  private val NoMasks = Masks(null, null)
+
+  /** Draws the next example's masks from `rng`, `drop1`'s first. */
+  private def drawMasks(): Masks = {
+    val m1 = drop1.drawMask(Fc1Out, rng)
+    Masks(m1, drop2.drawMask(Fc2Out, rng))
+  }
+
   private final case class HeadCtx(z: Array[Double],
-                                   y1: Array[Double], p1: Array[Double], m1: Array[Double],
-                                   y2: Array[Double], p2: Array[Double], m2: Array[Double],
+                                   y1: Array[Double], d1: Array[Double],
+                                   y2: Array[Double], d2: Array[Double],
                                    logit: Double)
 
   /** The pair head over two tower outputs; the only copy, shared by training
-    * and inference. `dropRng` is the dropout generator when training and
-    * `None` at inference, which reads no random state.
+    * and inference. `masks` holds the example's dropout masks when training
+    * and is `None` at inference, which applies no dropout.
     */
   private def headForward(e1: Array[Double], e2: Array[Double],
-                          dropRng: Option[Random]): HeadCtx = {
-    val training = dropRng.isDefined
+                          masks: Option[Masks]): HeadCtx = {
+    val m  = masks.getOrElse(NoMasks)
     val z  = pairFeatures(e1, e2)
     val y1 = fc1.forward(z)
-    val p1 = actF1.forward(y1)
-    val (d1, m1) = drop1.forward(p1, dropRng.orNull, training)
+    val d1 = drop1(actF1.forward(y1), m.m1)
     val y2 = fc2.forward(d1)
-    val p2 = actF2.forward(y2)
-    val (d2, m2) = drop2.forward(p2, dropRng.orNull, training)
+    val d2 = drop2(actF2.forward(y2), m.m2)
     val logit = fc3.forward(d2)(0)
-    HeadCtx(z, y1, d1, m1, y2, d2, m2, logit)
+    HeadCtx(z, y1, d1, y2, d2, logit)
   }
 
   private final case class PairCtx(t1: TowerCtx, t2: TowerCtx, head: HeadCtx)
 
-  private def pairForward(a: EncodedPlan, b: EncodedPlan, dropRng: Option[Random]): PairCtx = {
+  private def pairForward(a: EncodedPlan, b: EncodedPlan, masks: Option[Masks]): PairCtx = {
     val t1 = towerForward(a)
     val t2 = towerForward(b)
-    PairCtx(t1, t2, headForward(t1.pooled, t2.pooled, dropRng))
+    PairCtx(t1, t2, headForward(t1.pooled, t2.pooled, masks))
   }
 
-  private def pairBackward(ctx: PairCtx, dLogit: Double): Unit = {
+  /** One training example's forward pass, its loss, and every layer's
+    * output gradient (`gP*` of the head's activations, `gY*` of its dense
+    * layers).
+    */
+  private final case class Backprop(ctx: PairCtx, loss: Double, gLogit: Array[Double],
+                                    gP2: Array[Double], gY2: Array[Double],
+                                    gP1: Array[Double], gY1: Array[Double],
+                                    t1: TowerGrads, t2: TowerGrads)
+
+  /** Reads the parameters only. */
+  private def backprop(a: EncodedPlan, b: EncodedPlan, label: Boolean, masks: Masks): Backprop = {
+    val ctx = pairForward(a, b, Some(masks))
     val h = ctx.head
-    val gD2 = fc3.backward(h.p2, Array(dLogit))
-    val gP2 = drop2.backward(h.m2, gD2)
-    val gY2 = actF2.backward(h.y2, gP2)
-    val gD1 = fc2.backward(h.p1, gY2)
-    val gP1 = drop1.backward(h.m1, gD1)
-    val gY1 = actF1.backward(h.y1, gP1)
-    val gZ  = fc1.backward(h.z, gY1)
+    val (loss, dLogit) = NnOps.bceWithLogit(h.logit, if (label) 1.0 else 0.0)
+    val gLogit = Array(dLogit)
+    val gP2 = drop2(fc3.inputGrad(gLogit), masks.m2)
+    val gY2 = actF2.inputGrad(h.y2, gP2)
+    val gP1 = drop1(fc2.inputGrad(gY2), masks.m1)
+    val gY1 = actF1.inputGrad(h.y1, gP1)
+    val gZ  = fc1.inputGrad(gY1)
     // Split pair-feature gradient back to the two summaries.
     val d = ctx.t1.pooled.length
     val g1 = new Array[Double](d)
@@ -149,9 +187,35 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
       g2(i) = gZ(d + i) - gZ(2 * d + i) * sgn + gZ(3 * d + i) * e1
       i += 1
     }
-    towerBackward(ctx.t1, g1)
-    towerBackward(ctx.t2, g2)
+    Backprop(ctx, loss, gLogit, gP2, gY2, gP1, gY1, towerGrads(ctx.t1, g1), towerGrads(ctx.t2, g2))
   }
+
+  /** Adds one example's terms to the gradients, in three groups that share
+    * no parameter, so that the groups may run side by side. Within a group,
+    * each gradient takes the example's terms in a one-example backward
+    * pass's order: node by node, tower `t1` before `t2`.
+    */
+  private val gradGroups: Seq[Backprop => Unit] = Seq(
+    { s =>
+      val h = s.ctx.head
+      fc3.addGrads(h.d2, s.gLogit)
+      actF2.addGrads(h.y2, s.gP2)
+      fc2.addGrads(h.d1, s.gY2)
+      actF1.addGrads(h.y1, s.gP1)
+      fc1.addGrads(h.z, s.gY1)
+    },
+    { s =>
+      for ((t, g) <- Seq(s.ctx.t1 -> s.t1, s.ctx.t2 -> s.t2)) {
+        t.h2.indices.foreach(i => act2.addGrads(t.h2(i), g.gA2(i)))
+        conv2.addGrads(t.a1, t.ep.left, t.ep.right, g.gH2)
+      }
+    },
+    { s =>
+      for ((t, g) <- Seq(s.ctx.t1 -> s.t1, s.ctx.t2 -> s.t2)) {
+        t.h1.indices.foreach(i => act1.addGrads(t.h1(i), g.gA1(i)))
+        conv1.addGrads(t.ep.nodes, t.ep.left, t.ep.right, g.gH1)
+      }
+    })
 
   def logit(a: EncodedPlan, b: EncodedPlan): Double =
     pairForward(a, b, None).head.logit
@@ -164,10 +228,9 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
     * (deterministic when dropout is 0) — used by gradient-check tests.
     */
   def accumulateGradients(a: EncodedPlan, b: EncodedPlan, label: Boolean): Double = {
-    val ctx = pairForward(a, b, Some(rng))
-    val (l, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
-    pairBackward(ctx, dLogit)
-    l
+    val s = backprop(a, b, label, drawMasks())
+    gradGroups.foreach(_(s))
+    s.loss
   }
 
   def predictProb(a: EncodedPlan, b: EncodedPlan): Double = NnOps.sigmoid(logit(a, b))
@@ -184,14 +247,14 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
     val idx = rng.shuffle(data.indices.toVector)
     var totalLoss = 0.0
     idx.grouped(batchSize).foreach { batch =>
-      opt.zeroGrad()
-      batch.foreach { i =>
-        val ((a, b), label) = data(i)
-        val ctx = pairForward(a, b, Some(rng))
-        val (loss, dLogit) = NnOps.bceWithLogit(ctx.head.logit, if (label) 1.0 else 0.0)
-        totalLoss += loss
-        pairBackward(ctx, dLogit)
+      val masks = batch.map(_ => drawMasks())
+      val steps = Par.tabulate(batch.size) { k =>
+        val ((a, b), label) = data(batch(k))
+        backprop(a, b, label, masks(k))
       }
+      opt.zeroGrad()
+      Par.tabulate(gradGroups.size)(j => steps.foreach(gradGroups(j)))
+      steps.foreach(s => totalLoss += s.loss)
       opt.step(batch.size)
     }
     totalLoss / data.size

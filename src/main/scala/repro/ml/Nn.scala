@@ -8,6 +8,12 @@ import scala.util.Random
   * dynamic max pooling (§5). All layers are per-sample with gradient
   * accumulation across a minibatch; arrays are raw `Array[Double]` with
   * hand-written while-loops for JIT-friendly inner products.
+  *
+  * Each layer's backward pass comes in two halves. `inputGrad` returns the
+  * gradient of the layer's input and reads the parameters only, so the
+  * examples of a minibatch may run it in parallel. `addGrads` adds one
+  * example's terms to the parameters' gradients; calling it example by
+  * example in a fixed order fixes every gradient sum's order.
   */
 final class Param(val rows: Int, val cols: Int) {
   val size: Int = rows * cols
@@ -64,22 +70,18 @@ final class Dense(val in: Int, val out: Int, rng: Random) {
     y
   }
 
-  /** Accumulates dW, db; returns dx. */
-  def backward(x: Array[Double], gy: Array[Double]): Array[Double] = {
+  /** dx for the output gradient `gy`. */
+  def inputGrad(gy: Array[Double]): Array[Double] = {
     val gx = new Array[Double](in)
-    var o = 0
-    while (o < out) {
-      val go = gy(o); val base = o * in
-      b.g(o) += go
-      var i = 0
-      while (i < in) {
-        w.g(base + i) += go * x(i)
-        gx(i) += w.v(base + i) * go
-        i += 1
-      }
-      o += 1
-    }
+    NnOps.addInputGrad(w, gy, gx)
     gx
+  }
+
+  /** Adds dW, db for the input `x` and the output gradient `gy`. */
+  def addGrads(x: Array[Double], gy: Array[Double]): Unit = {
+    NnOps.addWeightGrad(w, x, NnOps.nonZeros(x), gy)
+    var o = 0
+    while (o < out) { b.g(o) += gy(o); o += 1 }
   }
 }
 
@@ -96,44 +98,49 @@ final class PRelu(rng: Random) {
     y
   }
 
-  def backward(x: Array[Double], gy: Array[Double]): Array[Double] = {
+  /** dx for the input `x` and the output gradient `gy`. */
+  def inputGrad(x: Array[Double], gy: Array[Double]): Array[Double] = {
     val a = alpha.v(0)
     val gx = new Array[Double](x.length)
     var i = 0
-    while (i < x.length) {
-      if (x(i) >= 0) gx(i) = gy(i)
-      else { gx(i) = a * gy(i); alpha.g(0) += x(i) * gy(i) }
-      i += 1
-    }
+    while (i < x.length) { gx(i) = if (x(i) >= 0) gy(i) else a * gy(i); i += 1 }
     gx
+  }
+
+  /** Adds dα for the input `x` and the output gradient `gy`. */
+  def addGrads(x: Array[Double], gy: Array[Double]): Unit = {
+    var i = 0
+    while (i < x.length) { if (x(i) < 0) alpha.g(0) += x(i) * gy(i); i += 1 }
   }
 }
 
-/** Inverted dropout; identity at inference. */
+/** Inverted dropout. A mask is drawn once per training example and applied
+  * to the activations forward and to their gradient backward; inference
+  * passes no mask.
+  */
 final class Dropout(p: Double) {
-  def forward(x: Array[Double], rng: Random, training: Boolean): (Array[Double], Array[Double]) = {
-    if (!training || p <= 0) (x, null)
+  /** A fresh mask of width `n` (`1/(1−p)` where kept, 0 where dropped), one
+    * `rng` draw per entry in order; `null`, drawing nothing, when `p` is 0.
+    */
+  def drawMask(n: Int, rng: Random): Array[Double] =
+    if (p <= 0) null
     else {
       val keep = 1 - p
-      val mask = new Array[Double](x.length)
-      val y    = new Array[Double](x.length)
+      val mask = new Array[Double](n)
       var i = 0
-      while (i < x.length) {
-        mask(i) = if (rng.nextDouble() < keep) 1.0 / keep else 0.0
-        y(i) = x(i) * mask(i); i += 1
-      }
-      (y, mask)
+      while (i < n) { mask(i) = if (rng.nextDouble() < keep) 1.0 / keep else 0.0; i += 1 }
+      mask
     }
-  }
-  def backward(mask: Array[Double], gy: Array[Double]): Array[Double] = {
-    if (mask == null) gy
+
+  /** `x ⊙ mask`, or `x` itself when `mask` is null. */
+  def apply(x: Array[Double], mask: Array[Double]): Array[Double] =
+    if (mask == null) x
     else {
-      val gx = new Array[Double](gy.length)
+      val y = new Array[Double](x.length)
       var i = 0
-      while (i < gy.length) { gx(i) = gy(i) * mask(i); i += 1 }
-      gx
+      while (i < x.length) { y(i) = x(i) * mask(i); i += 1 }
+      y
     }
-  }
 }
 
 /** Tree convolution (Mou et al. [39], as used by Neo [37] and the EMF §5):
@@ -182,35 +189,41 @@ final class TreeConv(val in: Int, val out: Int, rng: Random) {
     ys
   }
 
-  def backward(nodes: Array[Array[Double]], left: Array[Int], right: Array[Int],
-               gys: Array[Array[Double]]): Array[Array[Double]] = {
-    val n = nodes.length
-    val gxs = Array.fill(n)(new Array[Double](in))
+  /** Each node's input gradient for the output gradients `gys`. */
+  def inputGrads(left: Array[Int], right: Array[Int],
+                 gys: Array[Array[Double]]): Array[Array[Double]] = {
+    val gxs = Array.fill(gys.length)(new Array[Double](in))
+    def add(wp: Param, c: Int, gy: Array[Double]): Unit =
+      if (c >= 0) NnOps.addInputGrad(wp, gy, gxs(c))
     var i = 0
-    while (i < n) {
-      val gy = gys(i)
-      var o = 0
-      while (o < out) { b.g(o) += gy(o); o += 1 }
-      backOne(ws, nodes(i), gy, gxs(i))
-      if (left(i) >= 0) backOne(wl, nodes(left(i)), gy, gxs(left(i)))
-      if (right(i) >= 0) backOne(wr, nodes(right(i)), gy, gxs(right(i)))
+    while (i < gys.length) {
+      add(ws, i, gys(i))
+      add(wl, left(i), gys(i))
+      add(wr, right(i), gys(i))
       i += 1
     }
     gxs
   }
 
-  @inline private def backOne(wp: Param, x: Array[Double], gy: Array[Double],
-                              gx: Array[Double]): Unit = {
-    var o = 0
-    while (o < out) {
-      val go = gy(o); val base = o * in
-      var i = 0
-      while (i < in) {
-        wp.g(base + i) += go * x(i)
-        gx(i) += wp.v(base + i) * go
-        i += 1
-      }
-      o += 1
+  /** Adds dWs, dWl, dWr, db for the input `nodes` and the output gradients
+    * `gys`. [[NnOps.addWeightGrad]] skips the zero rows of `gys` (most of
+    * them in a layer under max pooling) and the zeros of a one-hot node
+    * vector (the first layer's input).
+    */
+  def addGrads(nodes: Array[Array[Double]], left: Array[Int], right: Array[Int],
+               gys: Array[Array[Double]]): Unit = {
+    val nz = nodes.map(NnOps.nonZeros)
+    def add(wp: Param, c: Int, gy: Array[Double]): Unit =
+      if (c >= 0) NnOps.addWeightGrad(wp, nodes(c), nz(c), gy)
+    var i = 0
+    while (i < nodes.length) {
+      val gy = gys(i)
+      var o = 0
+      while (o < out) { b.g(o) += gy(o); o += 1 }
+      add(ws, i, gy)
+      add(wl, left(i), gy)
+      add(wr, right(i), gy)
+      i += 1
     }
   }
 }
@@ -277,6 +290,62 @@ object NnOps {
         while (i < in) { a += w(base + i) * x(i); i += 1 }
       }
       s(o) = a; o += 1
+    }
+  }
+
+  /** `gx(i) += w.v(o, i)·gy(o)` for the row-major `gy.length × gx.length`
+    * weight `w`, row by row in ascending `o`, skipping every row whose
+    * `gy(o)` is 0. A skipped term is `w·0`, and on finite values it changes
+    * no sum: an accumulator that starts at +0 and only adds never holds −0.
+    * So `gx` equals the dense loop's bit for bit.
+    */
+  def addInputGrad(w: Param, gy: Array[Double], gx: Array[Double]): Unit = {
+    val in = gx.length
+    var o = 0
+    while (o < gy.length) {
+      val go = gy(o)
+      if (go != 0) {
+        val base = o * in
+        var i = 0
+        while (i < in) { gx(i) += w.v(base + i) * go; i += 1 }
+      }
+      o += 1
+    }
+  }
+
+  /** `w.g(o, i) += gy(o)·x(i)` for the row-major `gy.length × x.length`
+    * weight `w`, skipping every row whose `gy(o)` is 0. `nz` holds the
+    * ascending indices of `x`'s non-zeros; when at most half of `x` is
+    * non-zero, only those columns are visited, column by column. Each entry
+    * of `w.g` takes one term per call, and a skipped term is `0·x` or
+    * `gy·0`, so as in [[addInputGrad]] the result equals the dense loop's
+    * bit for bit.
+    */
+  def addWeightGrad(w: Param, x: Array[Double], nz: Array[Int], gy: Array[Double]): Unit = {
+    val in = x.length
+    if (2 * nz.length <= in) {
+      var k = 0
+      while (k < nz.length) {
+        val i = nz(k); val xi = x(i)
+        var o = 0
+        while (o < gy.length) {
+          val go = gy(o)
+          if (go != 0) w.g(o * in + i) += go * xi
+          o += 1
+        }
+        k += 1
+      }
+    } else {
+      var o = 0
+      while (o < gy.length) {
+        val go = gy(o)
+        if (go != 0) {
+          val base = o * in
+          var i = 0
+          while (i < in) { w.g(base + i) += go * x(i); i += 1 }
+        }
+        o += 1
+      }
     }
   }
 

@@ -1,10 +1,10 @@
 package repro.sparkreuse
 
-import org.apache.spark.sql.catalyst.expressions.{Add => CAdd, Alias, And, Attribute, AttributeReference, Cast, EqualNullSafe, EqualTo, ExprId, Expression, GreaterThan, GreaterThanOrEqual, IsNotNull, KnownFloatingPointNormalized, LessThan, LessThanOrEqual, Literal, Subtract => CSub}
+import org.apache.spark.sql.catalyst.expressions.{Add => CAdd, Alias, And, Attribute, AttributeReference, Cast, EqualTo, ExprId, Expression, GreaterThan, GreaterThanOrEqual, IsNotNull, KnownFloatingPointNormalized, LessThan, LessThanOrEqual, Literal, Subtract => CSub}
 import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
 import org.apache.spark.sql.catalyst.plans.{Inner => CInner}
 import org.apache.spark.sql.catalyst.plans.logical.{Filter => CFilter, Join => CJoin, LogicalPlan, Project => CProject, SubqueryAlias}
-import org.apache.spark.sql.types.NumericType
+import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, NumericType, ShortType}
 import repro.core.ir.Ir
 import repro.core.ir.Ir._
 import scala.collection.mutable
@@ -62,13 +62,31 @@ object CatalystBridge {
     */
   final case class Bridged(ir: Ir.Plan, outputAttrs: Seq[Attribute])
 
+  private val Integral: Seq[DataType] = Seq(ByteType, ShortType, IntegerType, LongType)
+
+  /** Whether casting from `from` to `to` keeps every value: the same type, an
+    * integral type to one at least as wide, or `Byte`/`Short`/`Int` to
+    * `Double`. Any other cast (a truncation to an integer, a rounding of a
+    * `Long` beyond 2^53 to a `Double`) stays unbridged, since the IR has no
+    * casts and would read the operand's own value.
+    */
+  private def keepsValues(from: DataType, to: DataType): Boolean = from == to || {
+    val f = Integral.indexOf(from)
+    f >= 0 && (Integral.indexOf(to) >= f || (to == DoubleType && from != LongType))
+  }
+
+  /** `None` when `plan` holds anything outside the IR's null-free SPJ class
+    * that the bridge cannot map exactly: among others, a null-safe equality
+    * `<=>` (it keeps rows where both sides are NULL) and a cast that
+    * changes values.
+    */
   def toIr(plan: LogicalPlan, resolver: LeafResolver): Option[Bridged] = {
     val attrOf = mutable.HashMap.empty[ExprId, ColRef]
     var nextAlias = 0
 
     def scalar(e: Expression): Option[Scalar] = e match {
       case a: AttributeReference            => attrOf.get(a.exprId).map(Col.apply)
-      case Cast(c, _: NumericType, _, _)    => scalar(c)
+      case Cast(c, to, _, _) if keepsValues(c.dataType, to) => scalar(c)
       case KnownFloatingPointNormalized(c)  => scalar(c)
       case NormalizeNaNAndZero(c)           => scalar(c)
       case Literal(v, _: NumericType)       => Some(Lit(v.toString.toDouble))
@@ -81,7 +99,6 @@ object CatalystBridge {
       case LessThan(a, b)           => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Lt, y)
       case LessThanOrEqual(a, b)    => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Le, y)
       case EqualTo(a, b)            => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Eq, y)
-      case EqualNullSafe(a, b)      => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Eq, y)
       case GreaterThanOrEqual(a, b) => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Ge, y)
       case GreaterThan(a, b)        => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Gt, y)
       case _                        => None

@@ -51,6 +51,27 @@ class EmfSpec extends AnyFunSuite {
     assert(last < first * 0.7, s"loss $first -> $last")
   }
 
+  test("training reproduces the recorded one-thread parameters bit for bit") {
+    // Recorded from the one-thread trainer, which ran each example's
+    // forward and backward pass in turn: a 64-bit fold of every parameter's
+    // raw bits and each epoch's mean loss after two epochs on 80 pairs
+    // (batches of 32, 32 and 16). A different summation order in any
+    // gradient, or a dropout mask drawn out of order, changes the fold.
+    val recorded = Seq(
+      0.2 -> (0x130b25c51b7b2535L, Seq(0x3fe64c828a27f79bL, 0x3fe5eb61e697e4faL)),
+      0.0 -> (0x41ba42a60c293bbfL, Seq(0x3fe641f5b6237584L, 0x3fe59fa600c08020L)))
+    for ((dropout, (fold, losses)) <- recorded) {
+      val emf = new Emf(seed = 21, dropout = dropout)
+      val data = emf.encodeDataset(asTriples(
+        Workloads.labeledPairs(Catalogs.tpchLite, 80, seed = 21)), tpchCfg)
+      val got = Seq.fill(2)(emf.model.trainEpoch(data)).map(java.lang.Double.doubleToRawLongBits)
+      var h = 0L
+      emf.model.params.foreach(_.v.foreach(x => h = h * 31 + java.lang.Double.doubleToRawLongBits(x)))
+      assert(got == losses, s"dropout $dropout: epoch losses")
+      assert(h == fold, f"dropout $dropout: parameter fold $h%016x")
+    }
+  }
+
   test("EMF learns equivalence on TPC-H and transfers to TPC-DS") {
     val emf = new Emf(seed = 4, dropout = 0.2)
     val train = asTriples(Workloads.labeledPairs(Catalogs.tpchLite, 700, seed = 4))

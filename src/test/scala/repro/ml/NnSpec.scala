@@ -35,7 +35,8 @@ class NnSpec extends AnyFunSuite {
     def loss(): Double = layer.forward(x).zip(gy).map { case (a, b) => a * b }.sum
 
     layer.params.foreach(_.zeroGrad())
-    val gx = layer.backward(x, gy)
+    layer.addGrads(x, gy)
+    val gx = layer.inputGrad(gy)
     numericVsAnalytic(layer.w, layer.w.g, loss)
     numericVsAnalytic(layer.b, layer.b.g, loss, samples = 5)
     // Input gradient via perturbation.
@@ -55,7 +56,8 @@ class NnSpec extends AnyFunSuite {
     val gy = Array.fill(5)(rng.nextDouble() * 2 - 1)
     def loss(): Double = layer.forward(x).zip(gy).map { case (a, b) => a * b }.sum
     layer.alpha.zeroGrad()
-    val gx = layer.backward(x, gy)
+    layer.addGrads(x, gy)
+    val gx = layer.inputGrad(x, gy)
     numericVsAnalytic(layer.alpha, layer.alpha.g, loss, samples = 1)
     for (i <- x.indices if x(i) != 0.0) {
       val o = x(i)
@@ -83,7 +85,8 @@ class NnSpec extends AnyFunSuite {
         .map { case (y, g) => y.zip(g).map { case (a, b) => a * b }.sum }.sum
 
     layer.params.foreach(_.zeroGrad())
-    val gxs = layer.backward(nodes, left, right, gys)
+    layer.addGrads(nodes, left, right, gys)
+    val gxs = layer.inputGrads(left, right, gys)
     numericVsAnalytic(layer.ws, layer.ws.g, loss)
     numericVsAnalytic(layer.wl, layer.wl.g, loss)
     numericVsAnalytic(layer.wr, layer.wr.g, loss)
@@ -140,6 +143,65 @@ class NnSpec extends AnyFunSuite {
     }
   }
 
+  test("TreeConv and Dense backward skip zero rows and inputs and equal a dense reference exactly") {
+    val rng = new Random(10)
+    val (in, out) = (78, 16)
+    val left  = Array(1, 3, -1, -1, -1)
+    val right = Array(2, 4, -1, -1, -1)
+    // One-hot nodes (one with non-unit constants), a dense node and an
+    // all-zero node.
+    val nodes = Array.fill(5)(new Array[Double](in))
+    for (n <- Seq(0, 2, 3); _ <- 0 until 1 + rng.nextInt(5)) nodes(n)(rng.nextInt(in)) = 1.0
+    nodes(2)(40) = -0.3; nodes(3)(77) = 2.5
+    nodes(1) = Array.fill(in)(rng.nextDouble() * 2 - 1)
+    // Output gradients as max pooling leaves them: a few non-zero rows per
+    // node, and one node with none.
+    val gys = Array.fill(5)(new Array[Double](out))
+    for (n <- Seq(0, 1, 3, 4); _ <- 0 until 1 + rng.nextInt(4)) gys(n)(rng.nextInt(out)) = rng.nextDouble() * 2 - 1
+    gys(1)(out - 1) = -0.0
+
+    // Gradients start non-zero, so that the test also sees accumulation.
+    def seeded(ps: Seq[Param]): Seq[Array[Double]] = {
+      ps.foreach(p => for (i <- 0 until p.size) p.g(i) = rng.nextDouble() - 0.5)
+      ps.map(_.g.clone())
+    }
+    def same(ps: Seq[Param], want: Seq[Array[Double]]): Unit =
+      ps.zip(want).foreach { case (p, w) => assert(p.g.toSeq == w.toSeq) }
+
+    // The dense reference: every row, every input, in the layers' order.
+    def refBack(w: Param, g: Array[Double], x: Array[Double], gy: Array[Double],
+                gx: Array[Double]): Unit =
+      for (o <- gy.indices; i <- x.indices) {
+        g(o * x.length + i) += gy(o) * x(i)
+        gx(i) += w.v(o * x.length + i) * gy(o)
+      }
+
+    val conv = new TreeConv(in, out, rng)
+    val want = seeded(conv.params)
+    val wantGx = Array.fill(5)(new Array[Double](in))
+    for (n <- 0 until 5) {
+      for (o <- 0 until out) want(3)(o) += gys(n)(o)
+      refBack(conv.ws, want(0), nodes(n), gys(n), wantGx(n))
+      if (left(n) >= 0) refBack(conv.wl, want(1), nodes(left(n)), gys(n), wantGx(left(n)))
+      if (right(n) >= 0) refBack(conv.wr, want(2), nodes(right(n)), gys(n), wantGx(right(n)))
+    }
+    conv.addGrads(nodes, left, right, gys)
+    same(conv.params, want)
+    val gxs = conv.inputGrads(left, right, gys)
+    for (n <- 0 until 5) assert(gxs(n).toSeq == wantGx(n).toSeq, s"node=$n")
+
+    val fc = new Dense(in, out, rng)
+    for (n <- 0 until 5) {
+      val Seq(wantW, wantB) = seeded(fc.params)
+      val wantX = new Array[Double](in)
+      refBack(fc.w, wantW, nodes(n), gys(n), wantX)
+      for (o <- 0 until out) wantB(o) += gys(n)(o)
+      fc.addGrads(nodes(n), gys(n))
+      same(fc.params, Seq(wantW, wantB))
+      assert(fc.inputGrad(gys(n)).toSeq == wantX.toSeq, s"node=$n")
+    }
+  }
+
   test("MaxPool routes gradient to the argmax") {
     val nodes = Array(Array(1.0, 5.0), Array(3.0, 2.0), Array(2.0, 4.0))
     val (y, arg) = MaxPool.forward(nodes)
@@ -154,14 +216,18 @@ class NnSpec extends AnyFunSuite {
     val rng = new Random(5)
     val d = new Dropout(0.5)
     val x = Array.fill(1000)(1.0)
-    val (y, mask) = d.forward(x, rng, training = true)
+    val mask = d.drawMask(x.length, rng)
+    val y = d(x, mask)
     val kept = y.count(_ != 0.0)
     assert(kept > 350 && kept < 650)
     y.filter(_ != 0.0).foreach(v => assert(math.abs(v - 2.0) < 1e-9))
-    val gx = d.backward(mask, Array.fill(1000)(1.0))
+    val gx = d(Array.fill(1000)(1.0), mask)
     assert(gx.toSeq == y.toSeq)
-    val (yInf, maskInf) = d.forward(x, rng, training = false)
-    assert(yInf.eq(x) && maskInf == null)
+    assert(d(x, null).eq(x))
+    // Dropout 0 draws nothing from the generator.
+    val (r1, r2) = (new Random(9), new Random(9))
+    assert(new Dropout(0.0).drawMask(1000, r1) == null)
+    assert(r1.nextLong() == r2.nextLong())
   }
 
   test("Adam decreases a quadratic loss") {
@@ -199,9 +265,10 @@ class NnSpec extends AnyFunSuite {
         val z1 = h.forward(x); val a1 = a.forward(z1)
         val logit = o.forward(a1)(0)
         val (_, d) = NnOps.bceWithLogit(logit, label)
-        val gA1 = o.backward(a1, Array(d))
-        val gZ1 = a.backward(z1, gA1)
-        h.backward(x, gZ1)
+        o.addGrads(a1, Array(d))
+        val gA1 = o.inputGrad(Array(d))
+        a.addGrads(z1, gA1)
+        h.addGrads(x, a.inputGrad(z1, gA1))
       }
       opt.step(data.size)
     }

@@ -68,6 +68,22 @@ class CatalystBridgeSpec extends SparkSpec {
     assert(CatalystBridge.toIr(outer, viewResolver).isEmpty)
   }
 
+  test("casts are stripped only where they keep every value") {
+    SynthData.tablesFor(spark, "tpcds", 0.001)
+      .foreach { case (n, df) => df.createOrReplaceTempView(n) }
+    val resolver = new CatalystBridge.ViewNameResolver(Set("store_sales"))
+    def bridges(col: String): Boolean =
+      CatalystBridge.toIr(spark.sql(s"SELECT $col AS c0 FROM store_sales s")
+        .queryExecution.analyzed, resolver).isDefined
+    // ss_quantity is INT, ss_item_sk BIGINT and ss_sales_price DOUBLE.
+    assert(bridges("CAST(s.ss_quantity AS DOUBLE)"))
+    assert(bridges("CAST(s.ss_quantity AS BIGINT)"))
+    assert(bridges("CAST(s.ss_sales_price AS DOUBLE)"))
+    assert(!bridges("CAST(s.ss_item_sk AS DOUBLE)"))
+    assert(!bridges("CAST(s.ss_item_sk AS INT)"))
+    assert(!bridges("CAST(s.ss_sales_price AS INT)"))
+  }
+
   test("BodyResolver recognizes inlined view bodies at optimizer time") {
     registered
     val resolver = ReuseRule.bodyResolver(spark, Seq("lineitem", "orders"))

@@ -1,6 +1,8 @@
 package repro.sparkreuse
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, StructField, StructType}
 import repro.{SparkSpec, SynthData}
 import repro.core.ir.{Catalogs, Sql}
 import repro.gen.{QueryGen, Rewrites}
@@ -94,6 +96,59 @@ class ReuseRuleSpec extends SparkSpec {
       seed += 1
     }
     assert(tested == 5 && rule.hits >= 5)
+  }
+
+  /** Two small tables that hold NULLs. Each is cached, so that its scan
+    * stays one leaf at optimizer time.
+    */
+  private lazy val nullTables: Seq[String] = {
+    def table(name: String, cols: Seq[(String, DataType)], rows: Row*): String = {
+      val schema = StructType(cols.map { case (c, t) => StructField(c, t, nullable = true) })
+      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema).cache()
+        .createOrReplaceTempView(name)
+      name
+    }
+    Seq(
+      table("pt", Seq("nk" -> IntegerType, "ny" -> IntegerType, "nd" -> DoubleType),
+        Row(1, null, 4.5), Row(2, 7, 3.0), Row(3, null, 5.0), Row(4, 8, null)),
+      table("pu", Seq("uk" -> IntegerType, "uy" -> IntegerType),
+        Row(1, null), Row(2, 7), Row(3, 9), Row(4, 8)))
+  }
+
+  /** Materializes `cached`, then runs `user` with a reuse rule over the NULL
+    * tables installed; returns the user query's rows and whether the rule
+    * substituted the cached result.
+    */
+  private def reuseOverNulls(cached: String, user: String): (Seq[String], Boolean) = {
+    val cache = new ReuseCache
+    val rule = new ReuseRule(cache, ReuseRule.bodyResolver(spark, nullTables), av)
+    val df = spark.sql(cached)
+    val views = new CatalystBridge.ViewNameResolver(nullTables.toSet)
+    cache.materialize(CatalystBridge.toIr(df.queryExecution.analyzed, views).get.ir, df)
+    ReuseRule.install(spark, rule)
+    try (canonRows(spark.sql(user)), rule.hits > 0)
+    finally spark.experimental.extraOptimizations =
+      spark.experimental.extraOptimizations.filterNot(_ eq rule)
+  }
+
+  test("a null-safe join is not served from the cached plain equi-join") {
+    val cached = "SELECT a.nk, b.uk FROM pt a, pu b WHERE a.ny = b.uy AND a.nk = b.uk"
+    // The rule does fire over these tables: an equivalent rewrite is served.
+    assert(reuseOverNulls(cached,
+      "SELECT a.nk, b.uk FROM pt a, pu b WHERE a.nk = b.uk AND b.uy = a.ny") ==
+      (Seq("2|2", "4|4"), true))
+    // `<=>` also keeps the row whose two sides are both NULL.
+    assert(reuseOverNulls(cached,
+      "SELECT a.nk, b.uk FROM pt a, pu b WHERE a.ny <=> b.uy AND a.nk = b.uk") ==
+      (Seq("1|1", "2|2", "4|4"), false))
+  }
+
+  test("a truncating cast is not served from the cached uncast comparison") {
+    val cached = "SELECT a.nk FROM pt a WHERE a.nd <= 4"
+    assert(reuseOverNulls(cached, "SELECT a.nk FROM pt a WHERE 4 >= a.nd") == (Seq("2"), true))
+    // CAST(4.5 AS INT) is 4, so row 1 qualifies.
+    assert(reuseOverNulls(cached, "SELECT a.nk FROM pt a WHERE CAST(a.nd AS INT) <= 4") ==
+      (Seq("1", "2"), false))
   }
 
   test("cache.find applies SF pruning before verification") {
