@@ -25,6 +25,7 @@ import scala.util.Random
 object Experiments {
 
   val AvSmtIters = 3000
+  private val Seed = 42L // base seed of every training and test set but Table 1's
 
   final case class Timed[T](value: T, seconds: Double)
   def timed[T](f: => T): Timed[T] = {
@@ -40,11 +41,11 @@ object Experiments {
     * synthetic pre-training), reused by every table. `verbose` logs the
     * pair generation and the fit apart, with the fit's throughput.
     */
-  def trainEmf(nTrain: Int = 4000, epochs: Int = 16, seed: Long = 42,
-               verbose: Boolean = true): Emf = {
-    val emf = new Emf(seed = seed, dropout = 0.2)
+  def trainEmf(nTrain: Int = 4000, verbose: Boolean = true): Emf = {
+    val epochs = 16
+    val emf = new Emf(seed = Seed, dropout = 0.2)
     val train = timed {
-      Workloads.labeledPairs(Catalogs.tpchLite, nTrain, seed).map(lp => (lp.a, lp.b, lp.label))
+      Workloads.labeledPairs(Catalogs.tpchLite, nTrain, Seed).map(lp => (lp.a, lp.b, lp.label))
     }
     val fit = timed(emf.fit(train.value, tpchCfg, epochs = epochs))
     if (verbose) {
@@ -56,8 +57,8 @@ object Experiments {
     emf
   }
 
-  def calibrateVmf(emf: Emf, nCal: Int = 400, seed: Long = 43): Vmf = {
-    val cal = Workloads.labeledPairs(Catalogs.tpchLite, nCal, seed)
+  def calibrateVmf(emf: Emf): Vmf = {
+    val cal = Workloads.labeledPairs(Catalogs.tpchLite, 400, Seed + 1)
       .map(lp => (lp.a, lp.b, lp.label))
     new Vmf(emf, Vmf.calibrate(emf, cal, tpchCfg))
   }
@@ -71,8 +72,9 @@ object Experiments {
   final case class Table1Result(rows: Vector[FilterRow], ablation: Vector[AblationRow],
                                 totalPairs: Long, equivalences: Int, avSampled: Int)
 
-  def table1(emf: Emf, vmf: Vmf, nSubexprs: Int = 317, nClasses: Int = 50,
-             seed: Long = 7, avSamplePairs: Int = 4000): Table1Result = {
+  def table1(emf: Emf, vmf: Vmf, nSubexprs: Int = 317, nClasses: Int = 50): Table1Result = {
+    val seed = 7L
+    val avSamplePairs = 4000
     val es = Workloads.evalWorkload(Catalogs.tpcdsLite, nSubexprs, nClasses, seed)
     val subs = es.subexprs
     val truth = es.truth
@@ -103,13 +105,7 @@ object Experiments {
 
     // AV-on-all-pairs baseline, measured on a uniform pair sample and
     // extrapolated to the full pairwise space (documented in EXPERIMENTS.md).
-    val rng = new Random(seed + 1)
-    val sampled = Vector.fill(avSamplePairs) {
-      val i = rng.nextInt(subs.size)
-      var j = rng.nextInt(subs.size)
-      while (j == i) j = rng.nextInt(subs.size)
-      (math.min(i, j), math.max(i, j))
-    }
+    val sampled = SchemaFilter.randomPairs(subs.size, avSamplePairs, new Random(seed + 1))
     val avAll = timed {
       val v = new Verifier(AvSmtIters)
       sampled.foreach { case (i, j) => v.equivalent(subs(i), subs(j)) }
@@ -171,10 +167,9 @@ object Experiments {
   final case class ModelRow(name: String, accuracy: Double, f1: Double,
                             confusion: Confusion)
 
-  def table3(emf: Emf, nTrain: Int = 4000, nTest: Int = 2000,
-             seed: Long = 42): Vector[ModelRow] = {
-    val train = Workloads.labeledPairs(Catalogs.tpchLite, nTrain, seed)
-    val test  = Workloads.labeledPairs(Catalogs.tpcdsLite, nTest, seed + 100)
+  def table3(emf: Emf, nTrain: Int = 4000, nTest: Int = 2000): Vector[ModelRow] = {
+    val train = Workloads.labeledPairs(Catalogs.tpchLite, nTrain, Seed)
+    val test  = Workloads.labeledPairs(Catalogs.tpcdsLite, nTest, Seed + 100)
 
     // MLP = the trained EMF itself.
     val mlpPred = test.map(lp => emf.predict(lp.a, lp.b, tpcdsCfg))
@@ -186,11 +181,11 @@ object Experiments {
     val trainY = train.map(_.label).toIndexedSeq
     val testX  = test.map(lp => emf.pooledFeatures(lp.a, lp.b, tpcdsCfg))
 
-    val rf = new RandomForest(nTrees = 50, maxDepth = 12, seed = seed)
+    val rf = new RandomForest(nTrees = 50, maxDepth = 12, seed = Seed)
     rf.fit(trainX, trainY)
     val rfC = Confusion.of(testX.map(rf.predict), labels)
 
-    val lr = new LogisticRegression(trainX.head.length, seed = seed)
+    val lr = new LogisticRegression(trainX.head.length, seed = Seed)
     lr.fit(trainX, trainY, epochs = 30)
     val lrC = Confusion.of(testX.map(lr.predict), labels)
 
@@ -218,12 +213,11 @@ object Experiments {
 
   final case class TransferRow(size: Int, precision: Double, recall: Double, f1: Double)
 
-  def table4(emf: Emf, sizes: Seq[Int] = Seq(1200, 5000, 11000, 19900, 44900),
-             seed: Long = 42): Vector[TransferRow] = {
+  def table4(emf: Emf, sizes: Seq[Int] = Seq(1200, 5000, 11000, 19900, 44900)): Vector[TransferRow] = {
     sizes.zipWithIndex.map { case (n, i) =>
-      val schema = Catalogs.random(seed + i)
+      val schema = Catalogs.random(Seed + i)
       val cfg = EncoderConfig.forSchema(schema)
-      val pairs = Workloads.labeledPairs(schema, n, seed + 10 * i)
+      val pairs = Workloads.labeledPairs(schema, n, Seed + 10 * i)
       val c = Confusion.of(pairs.map(lp => emf.predict(lp.a, lp.b, cfg)), pairs.map(_.label))
       TransferRow(n, c.precision, c.recall, c.f1)
     }.toVector
@@ -245,8 +239,8 @@ object Experiments {
 
   final case class Table5Row(accuracy: Double, precision: Double, recall: Double, f1: Double)
 
-  def table5(vmf: Vmf, nTest: Int = 3000, seed: Long = 42): Table5Row = {
-    val test = Workloads.labeledPairs(Catalogs.tpcdsLite, nTest, seed + 200)
+  def table5(vmf: Vmf, nTest: Int = 3000): Table5Row = {
+    val test = Workloads.labeledPairs(Catalogs.tpcdsLite, nTest, Seed + 200)
     val c = Confusion.of(test.map(lp => vmf.admits(lp.a, lp.b, tpcdsCfg)), test.map(_.label))
     Table5Row(c.accuracy, c.precision, c.recall, c.f1)
   }

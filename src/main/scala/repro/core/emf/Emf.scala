@@ -18,9 +18,10 @@ import scala.util.Random
   * Deviation noted in DESIGN.md: the FC input is the siamese pairing
   * `[e1, e2, |e1−e2|, e1⊙e2]` and batch norm is omitted.
   *
-  * Scoring (`embed`, `logit`, `loss`, `predictProb`, `predictProbEmbedded`)
+  * Scoring (`embed`, `loss`, `predictProb`, `predictProbEmbedded`)
+  * runs `embed` on each side and then the pair head without dropout. It
   * reads the parameters only and draws no random numbers, so it is safe to
-  * call from several threads at once. Training (`fit`, `trainEpoch`,
+  * call from several threads at once. Training (`trainEpoch`,
   * `accumulateGradients`) writes the parameters, the gradients and the
   * shared generator, so nothing else may use the model while it runs: no
   * scoring and no second training call.
@@ -36,7 +37,7 @@ import scala.util.Random
   * side, so every gradient sum adds its terms in the one-thread order. Last
   * it takes one Adam step.
   */
-final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
+final class EmfModel(val nvSize: Int, dropout: Double, seed: Long) {
   import EmfModel._
   private val rng = new Random(seed)
 
@@ -133,23 +134,22 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
 
   /** The pair head over two tower outputs; the only copy, shared by training
     * and inference. `masks` holds the example's dropout masks when training
-    * and is `None` at inference, which applies no dropout.
+    * and is `NoMasks` at inference, which applies no dropout.
     */
-  private def headForward(e1: Array[Double], e2: Array[Double],
-                          masks: Option[Masks]): HeadCtx = {
-    val m  = masks.getOrElse(NoMasks)
+  private def headForward(e1: Array[Double], e2: Array[Double], masks: Masks): HeadCtx = {
     val z  = pairFeatures(e1, e2)
     val y1 = fc1.forward(z)
-    val d1 = drop1(actF1.forward(y1), m.m1)
+    val d1 = drop1(actF1.forward(y1), masks.m1)
     val y2 = fc2.forward(d1)
-    val d2 = drop2(actF2.forward(y2), m.m2)
+    val d2 = drop2(actF2.forward(y2), masks.m2)
     val logit = fc3.forward(d2)(0)
     HeadCtx(z, y1, d1, y2, d2, logit)
   }
 
   private final case class PairCtx(t1: TowerCtx, t2: TowerCtx, head: HeadCtx)
 
-  private def pairForward(a: EncodedPlan, b: EncodedPlan, masks: Option[Masks]): PairCtx = {
+  /** One training example's forward pass, with the towers' intermediates. */
+  private def pairForward(a: EncodedPlan, b: EncodedPlan, masks: Masks): PairCtx = {
     val t1 = towerForward(a)
     val t2 = towerForward(b)
     PairCtx(t1, t2, headForward(t1.pooled, t2.pooled, masks))
@@ -166,7 +166,7 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
 
   /** Reads the parameters only. */
   private def backprop(a: EncodedPlan, b: EncodedPlan, label: Boolean, masks: Masks): Backprop = {
-    val ctx = pairForward(a, b, Some(masks))
+    val ctx = pairForward(a, b, masks)
     val h = ctx.head
     val (loss, dLogit) = NnOps.bceWithLogit(h.logit, if (label) 1.0 else 0.0)
     val gLogit = Array(dLogit)
@@ -217,12 +217,9 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
       }
     })
 
-  def logit(a: EncodedPlan, b: EncodedPlan): Double =
-    pairForward(a, b, None).head.logit
-
   /** BCE loss of one pair (no gradient side effects; inference mode). */
   def loss(a: EncodedPlan, b: EncodedPlan, label: Boolean): Double =
-    NnOps.bceWithLogit(logit(a, b), if (label) 1.0 else 0.0)._1
+    NnOps.bceWithLogit(headForward(embed(a), embed(b), NoMasks).logit, if (label) 1.0 else 0.0)._1
 
   /** Forward+backward of one pair, accumulating gradients into `params`
     * (deterministic when dropout is 0) — used by gradient-check tests.
@@ -233,20 +230,19 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
     s.loss
   }
 
-  def predictProb(a: EncodedPlan, b: EncodedPlan): Double = NnOps.sigmoid(logit(a, b))
+  def predictProb(a: EncodedPlan, b: EncodedPlan): Double = predictProbEmbedded(embed(a), embed(b))
 
   /** `predictProb` of two plans given their summaries `embed(a)` and
     * `embed(b)`: the pair head alone.
     */
   def predictProbEmbedded(e1: Array[Double], e2: Array[Double]): Double =
-    NnOps.sigmoid(headForward(e1, e2, None).logit)
+    NnOps.sigmoid(headForward(e1, e2, NoMasks).logit)
 
-  /** One pass over `data` in minibatches; returns mean loss. */
-  def trainEpoch(data: IndexedSeq[((EncodedPlan, EncodedPlan), Boolean)],
-                 batchSize: Int = 32): Double = {
+  /** One pass over `data` in minibatches of `BatchSize`; returns mean loss. */
+  def trainEpoch(data: IndexedSeq[((EncodedPlan, EncodedPlan), Boolean)]): Double = {
     val idx = rng.shuffle(data.indices.toVector)
     var totalLoss = 0.0
-    idx.grouped(batchSize).foreach { batch =>
+    idx.grouped(BatchSize).foreach { batch =>
       val masks = batch.map(_ => drawMasks())
       val steps = Par.tabulate(batch.size) { k =>
         val ((a, b), label) = data(batch(k))
@@ -259,22 +255,15 @@ final class EmfModel(val nvSize: Int, dropout: Double = 0.5, seed: Long = 42) {
     }
     totalLoss / data.size
   }
-
-  def fit(data: IndexedSeq[((EncodedPlan, EncodedPlan), Boolean)],
-          epochs: Int, batchSize: Int = 32, verbose: Boolean = false): Unit = {
-    for (e <- 0 until epochs) {
-      val loss = trainEpoch(data, batchSize)
-      if (verbose) Console.err.println(f"[EmfModel] epoch $e%2d loss $loss%.4f")
-    }
-  }
 }
 
 object EmfModel {
-  /** Layer widths: two tree convolutions, then the pair head's two hidden layers. */
-  private val Conv1Out = 64
-  private val Conv2Out = 32
-  private val Fc1Out   = 64
-  private val Fc2Out   = 32
+  /** Layer widths (two tree convolutions, two head layers) and the minibatch size. */
+  private val Conv1Out  = 64
+  private val Conv2Out  = 32
+  private val Fc1Out    = 64
+  private val Fc2Out    = 32
+  private val BatchSize = 32
 }
 
 /** The EMF filter: schema-aware encoding front-end over [[EmfModel]]. The
@@ -292,7 +281,7 @@ object EmfModel {
   * `fit` (e.g. SSFL fine-tuning) changes the towers between calls.
   */
 final class Emf(seed: Long = 42, dropout: Double = 0.5) {
-  val agn: EncoderConfig = EncoderConfig.agnostic()
+  val agn: EncoderConfig = EncoderConfig.agnostic
   val model = new EmfModel(agn.nvSize, dropout = dropout, seed = seed)
 
   def encodePair(p: Plan, q: Plan, inst: EncoderConfig): (EncodedPlan, EncodedPlan) =
@@ -346,13 +335,13 @@ final class Emf(seed: Long = 42, dropout: Double = 0.5) {
   def predictProbInstanceEncoded(a: EncodedPlan, b: EncodedPlan, inst: EncoderConfig): Double =
     predictProbs(Vector(a, b), Iterator((0, 1)), inst)(0)
 
-  def predict(p: Plan, q: Plan, inst: EncoderConfig, threshold: Double = 0.5): Boolean =
-    predictProb(p, q, inst) >= threshold
+  def predict(p: Plan, q: Plan, inst: EncoderConfig): Boolean = predictProb(p, q, inst) >= 0.5
 
   /** Train (or incrementally fine-tune — optimizer state persists). */
-  def fit(pairs: Seq[(Plan, Plan, Boolean)], inst: EncoderConfig,
-          epochs: Int = 20, batchSize: Int = 32, verbose: Boolean = false): Unit =
-    model.fit(encodeDataset(pairs, inst), epochs, batchSize, verbose)
+  def fit(pairs: Seq[(Plan, Plan, Boolean)], inst: EncoderConfig, epochs: Int): Unit = {
+    val data = encodeDataset(pairs, inst)
+    for (_ <- 0 until epochs) model.trainEpoch(data)
+  }
 
   /** Pooled NV features for the flat RF/LR baselines of Table 3: the plain
     * concatenation `[maxpool(NV_α(a)), maxpool(NV_α(b))]`. As in the paper,

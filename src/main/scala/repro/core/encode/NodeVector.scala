@@ -65,12 +65,12 @@ object EncoderConfig {
     schema.tables.flatMap(t => t.columnNames.map(c => s"${t.name}.$c")).sorted.toIndexedSeq,
   )
 
-  /** DB-agnostic config over symbolic tables t1..tn and columns ti.cj
+  /** DB-agnostic config over symbolic tables t1..t3 and columns ti.c1..ti.c5
     * (T'_W, C'_W of §4.2). Symbol names sort in index order by construction.
     */
-  def agnostic(maxTables: Int = 3, maxColsPerTable: Int = 5): EncoderConfig = EncoderConfig(
-    (1 to maxTables).map(i => s"t$i"),
-    (1 to maxTables).flatMap(i => (1 to maxColsPerTable).map(j => s"t$i.c$j")),
+  val agnostic: EncoderConfig = EncoderConfig(
+    (1 to 3).map(i => s"t$i"),
+    (1 to 3).flatMap(i => (1 to 5).map(j => s"t$i.c$j")),
   )
 }
 

@@ -22,7 +22,7 @@ import repro.verifier.Verifier
   * is compared with does.
   */
 final class GEqO(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
-                 val inst: EncoderConfig, emfThreshold: Double = 0.5) {
+                 val inst: EncoderConfig, emfThreshold: Double) {
 
   /** Per-stage pair counts and wall-clock (nanos). `afterSf`, `afterVmf`
     * and `afterEmf` count the pairs still alive *after* that stage.

@@ -90,10 +90,11 @@ object Catalogs {
   )
 
   /** Randomly-generated schema for the transfer-learning experiment (§7.1.3,
-    * Table 4): `nTables` tables with 3–5 numeric columns each, chained and
+    * Table 4): five tables with 3–5 numeric columns each, chained and
     * cross-linked join edges. Deterministic in `seed`.
     */
-  def random(seed: Long, nTables: Int = 5): Schema = {
+  def random(seed: Long): Schema = {
+    val nTables = 5
     val rng = new Random(seed)
     val tables = (0 until nTables).map { i =>
       val nCols = 3 + rng.nextInt(3)

@@ -2,6 +2,7 @@ package repro.core.sf
 
 import repro.core.ir.Canon
 import repro.core.ir.Ir.Plan
+import scala.util.Random
 
 /** The schema filter (SF, §2.2.1): subexpressions that touch different
   * table multisets or return a different number of columns cannot be
@@ -32,4 +33,16 @@ object SchemaFilter {
     */
   def pairs(group: IndexedSeq[Int]): Iterator[(Int, Int)] =
     for { a <- group.indices.iterator; b <- (a + 1) until group.size } yield (group(a), group(b))
+
+  /** `n` uniform random pairs `(i, j)`, `i < j`, of indices below `size` (none
+    * when `size` < 2), duplicates kept; each draws `i`, then `j` until `j ≠ i`.
+    */
+  def randomPairs(size: Int, n: Int, rng: Random): Vector[(Int, Int)] =
+    if (size < 2) Vector.empty
+    else Vector.fill(n) {
+      val i = rng.nextInt(size)
+      var j = rng.nextInt(size)
+      while (j == i) j = rng.nextInt(size)
+      (math.min(i, j), math.max(i, j))
+    }
 }

@@ -14,8 +14,8 @@ import scala.util.Random
   * topped up at random — and fine-tune the EMF incrementally.
   */
 final class Ssfl(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
-                 val inst: EncoderConfig, val th: Double = 0.9, seed: Long = 11) {
-  private val rng = new Random(seed)
+                 val inst: EncoderConfig, val th: Double = 0.9) {
+  private val rng = new Random(11)
 
   private def instEnc(w: IndexedSeq[Plan]): IndexedSeq[EncodedPlan] =
     w.map(NodeVector.encodeInstance(_, inst))
@@ -45,7 +45,7 @@ final class Ssfl(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
     val pos = labeled.filter(_._3)
     val neg = labeled.filterNot(_._3)
     val needed = math.max(0, pos.size - neg.size)
-    val extraNeg = randomPairs(workload, needed * 3)
+    val extraNeg = SchemaFilter.randomPairs(workload.size, needed * 3, rng).distinct
       .map { case (i, j) => (workload(i), workload(j), verifier.equivalent(workload(i), workload(j))) }
       .filterNot(_._3)
       .take(needed)
@@ -55,19 +55,9 @@ final class Ssfl(val emf: Emf, val vmf: Vmf, val verifier: Verifier,
   /** Naive random sample (the Figure 9 baseline): uniform pairs, AV-labeled. */
   def randomSample(workload: IndexedSeq[Plan], cap: Int = 512)
       : Vector[(Plan, Plan, Boolean)] =
-    randomPairs(workload, cap).map { case (i, j) =>
+    SchemaFilter.randomPairs(workload.size, cap, rng).distinct.map { case (i, j) =>
       (workload(i), workload(j), verifier.equivalent(workload(i), workload(j)))
     }
-
-  private def randomPairs(workload: IndexedSeq[Plan], n: Int): Vector[(Int, Int)] = {
-    if (workload.size < 2) return Vector.empty
-    Vector.fill(n) {
-      val i = rng.nextInt(workload.size)
-      var j = rng.nextInt(workload.size)
-      while (j == i) j = rng.nextInt(workload.size)
-      (math.min(i, j), math.max(i, j))
-    }.distinct
-  }
 
   /** One Algorithm-1 iteration: fine-tune if confidence is low. Returns the
     * (pre-tuning) confidence and whether a fine-tuning round ran.

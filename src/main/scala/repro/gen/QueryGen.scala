@@ -20,6 +20,8 @@ final case class Spec(atoms: Vector[Scan], preds: Vector[Pred], proj: Vector[Col
   */
 object QueryGen {
 
+  private val MaxFilters = 3 // most random filters per spec
+
   /** Random connected table walk of length 1..maxTables. */
   def tableWalk(schema: Schema, rng: Random, maxTables: Int = 3): Vector[String] = {
     val n = 1 + rng.nextInt(maxTables)
@@ -42,8 +44,7 @@ object QueryGen {
     * columns. Used both for base queries and for schema-compatible negative
     * partners (same tables, same arity — the SF-group constraint of §5).
     */
-  def specOver(schema: Schema, tables: Vector[String], arity: Int, rng: Random,
-               maxFilters: Int = 3): Spec = {
+  def specOver(schema: Schema, tables: Vector[String], arity: Int, rng: Random): Spec = {
     val atoms = tables.zipWithIndex.map { case (t, i) =>
       Scan(t, s"a$i", schema.tableByName(t).columnNames)
     }
@@ -68,7 +69,7 @@ object QueryGen {
 
     def randConst(c: Column): Double = (c.lo + rng.nextInt(math.max(1, (c.hi - c.lo).toInt + 1))).floor
 
-    val nFilters = rng.nextInt(maxFilters + 1)
+    val nFilters = rng.nextInt(MaxFilters + 1)
     val filters = Vector.fill(nFilters) {
       val (ref, col) = allCols(rng.nextInt(allCols.size))
       val op = IndexedSeq(Lt, Le, Ge, Gt)(rng.nextInt(4))
@@ -86,9 +87,9 @@ object QueryGen {
     Spec(atoms, joinPreds ++ filters, proj)
   }
 
-  def baseSpec(schema: Schema, rng: Random, maxTables: Int = 3, maxFilters: Int = 3): Spec = {
-    val walk = tableWalk(schema, rng, maxTables)
-    specOver(schema, walk, 1 + rng.nextInt(4), rng, maxFilters)
+  def baseSpec(schema: Schema, rng: Random): Spec = {
+    val walk = tableWalk(schema, rng)
+    specOver(schema, walk, 1 + rng.nextInt(4), rng)
   }
 
   /** Render a spec to a random plan tree: random join order (commutativity +

@@ -31,11 +31,10 @@ object Workloads {
     * the verifier to avoid false negatives.
     *
     * `HeavyFrac` of the positives use the heavy rewrite;
-    * `maxTables`/`maxFilters` bound query complexity (used by the SSFL
+    * `maxTables` bounds query complexity (used by the SSFL
     * degenerate-workload experiment, e.g. maxTables = 1 for "no joins").
     */
-  def labeledPairs(schema: Schema, n: Int, seed: Long,
-                   maxTables: Int = 3, maxFilters: Int = 3): Vector[LabeledPair] = {
+  def labeledPairs(schema: Schema, n: Int, seed: Long, maxTables: Int = 3): Vector[LabeledPair] = {
     val rng = new Random(seed)
     val av  = new Verifier()
     val out = Vector.newBuilder[LabeledPair]
@@ -43,13 +42,13 @@ object Workloads {
     while (made < n) {
       val walk = QueryGen.tableWalk(schema, rng, maxTables)
       val arity = 1 + rng.nextInt(4)
-      val spec = QueryGen.specOver(schema, walk, arity, rng, maxFilters)
+      val spec = QueryGen.specOver(schema, walk, arity, rng)
       val base = QueryGen.assemble(spec, rng)
       if (made % 2 == 0) {
         val v = Rewrites.variant(base, rng, heavy = rng.nextDouble() < HeavyFrac)
         out += LabeledPair(base, v, label = true)
       } else {
-        val other = QueryGen.assemble(QueryGen.specOver(schema, walk, arity, rng, maxFilters), rng)
+        val other = QueryGen.assemble(QueryGen.specOver(schema, walk, arity, rng), rng)
         out += LabeledPair(base, other, label = av.equivalent(base, other))
       }
       made += 1

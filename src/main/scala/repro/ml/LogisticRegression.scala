@@ -5,12 +5,12 @@ import scala.util.Random
 /** L2-regularized logistic regression trained with Adam — the LR candidate
   * EMF classifier compared in Table 3 (§7.1.1).
   */
-final class LogisticRegression(val dim: Int, seed: Long = 0,
-                               lr: Double = 1e-2, wd: Double = 1e-4) {
+final class LogisticRegression(val dim: Int, seed: Long = 0) {
   private val rng = new Random(seed)
   private val w = new Param(1, dim).initUniform(rng, 0.01)
   private val b = new Param(1, 1)
-  private val opt = new Adam(Seq(w, b), lr = lr, wd = wd)
+  private val opt = new Adam(Seq(w, b), lr = 1e-2, wd = 1e-4)
+  private val batchSize = 64
 
   def logit(x: Array[Double]): Double = {
     var s = b.v(0)
@@ -22,8 +22,7 @@ final class LogisticRegression(val dim: Int, seed: Long = 0,
   def predictProb(x: Array[Double]): Double = NnOps.sigmoid(logit(x))
   def predict(x: Array[Double]): Boolean    = predictProb(x) >= 0.5
 
-  def fit(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-          epochs: Int = 30, batchSize: Int = 64): Unit = {
+  def fit(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean], epochs: Int): Unit = {
     val idx = xs.indices.toArray
     for (_ <- 0 until epochs) {
       shuffle(idx)

@@ -34,8 +34,10 @@ final class Param(val rows: Int, val cols: Int) {
 /** Adam (Kingma & Ba) with decoupled weight decay — the paper's optimizer
   * settings are lr 1e-3, weight decay 5e-4 (§7 "Implementation").
   */
-final class Adam(params: Seq[Param], lr: Double = 1e-3, wd: Double = 5e-4,
-                 b1: Double = 0.9, b2: Double = 0.999, eps: Double = 1e-8) {
+final class Adam(params: Seq[Param], lr: Double = 1e-3, wd: Double = 5e-4) {
+  private val b1  = 0.9
+  private val b2  = 0.999
+  private val eps = 1e-8
   private var t = 0
 
   def zeroGrad(): Unit = params.foreach(_.zeroGrad())

@@ -6,8 +6,8 @@ import scala.util.Random
   * feature subsampling) — the RF candidate EMF classifier of Table 3
   * (§7.1.1). Pure-Scala sklearn substitute.
   */
-final class RandomForest(nTrees: Int = 50, maxDepth: Int = 12,
-                         minLeaf: Int = 2, seed: Long = 0) {
+final class RandomForest(nTrees: Int = 50, maxDepth: Int = 12, seed: Long = 0) {
+  private val minLeaf = 2
 
   private sealed trait Node
   private final case class Leaf(prob: Double) extends Node

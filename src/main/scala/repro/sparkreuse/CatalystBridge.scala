@@ -5,7 +5,7 @@ import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
 import org.apache.spark.sql.catalyst.plans.{Inner => CInner}
 import org.apache.spark.sql.catalyst.plans.logical.{Filter => CFilter, Join => CJoin, LogicalPlan, Project => CProject, SubqueryAlias}
 import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, NumericType, ShortType}
-import repro.core.ir.Ir
+import repro.core.ir.{Canon, Ir}
 import repro.core.ir.Ir._
 import scala.collection.mutable
 
@@ -77,12 +77,15 @@ object CatalystBridge {
 
   /** `None` when `plan` holds anything outside the IR's null-free SPJ class
     * that the bridge cannot map exactly: among others, a null-safe equality
-    * `<=>` (it keeps rows where both sides are NULL) and a cast that
-    * changes values.
+    * `<=>` (it keeps rows where both sides are NULL), a cast that changes
+    * values, an `IS NOT NULL` column that no bridged comparison reads, and a
+    * comparison whose normal form cancels a column (`x + 1 > x` drops the
+    * rows where `x` is NULL, but its normal form `−1 < 0` holds everywhere).
     */
   def toIr(plan: LogicalPlan, resolver: LeafResolver): Option[Bridged] = {
     val attrOf = mutable.HashMap.empty[ExprId, ColRef]
     var nextAlias = 0
+    val guarded = mutable.HashSet.empty[ColRef] // see `relevant`
 
     def scalar(e: Expression): Option[Scalar] = e match {
       case a: AttributeReference            => attrOf.get(a.exprId).map(Col.apply)
@@ -95,25 +98,28 @@ object CatalystBridge {
       case _                                => None
     }
 
-    def pred(e: Expression): Option[Pred] = e match {
+    def pred(e: Expression): Option[Pred] = (e match {
       case LessThan(a, b)           => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Lt, y)
       case LessThanOrEqual(a, b)    => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Le, y)
       case EqualTo(a, b)            => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Eq, y)
       case GreaterThanOrEqual(a, b) => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Ge, y)
       case GreaterThan(a, b)        => for (x <- scalar(a); y <- scalar(b)) yield Pred(x, Gt, y)
       case _                        => None
-    }
+    }).filter(p => Canon.normalize(p).cols == p.cols)
 
     def conjuncts(e: Expression): Seq[Expression] = e match {
       case And(a, b) => conjuncts(a) ++ conjuncts(b)
       case other     => Seq(other)
     }
 
-    /** Inferred null guards are inert here: the IR's class is null-free and
-      * the guards are implied by the equi-join conditions they came from.
+    /** Drops each `IsNotNull` over a bridged operand, keeping its columns in
+      * `guarded`; `pred` refuses any other. The root requires each guarded
+      * column in a bridged comparison, which drops NULLs as the guard does.
       */
-    def relevant(es: Seq[Expression]): Seq[Expression] =
-      es.filterNot(_.isInstanceOf[IsNotNull])
+    def relevant(es: Seq[Expression]): Seq[Expression] = es.filterNot {
+      case IsNotNull(c) => scalar(c).map(s => guarded ++= s.cols).isDefined
+      case _            => false
+    }
 
     def withFilters(base: Ir.Plan, conds: Seq[Expression]): Option[Ir.Plan] =
       relevant(conds).foldLeft(Option(base)) { (acc, c) =>
@@ -171,7 +177,8 @@ object CatalystBridge {
             case Alias(e, _)           => scalar(e).collect { case Col(r) => r }
             case _                     => None
           }
-          if (cols.forall(_.isDefined))
+          val compared = Canon.flatten(ch).conjuncts.flatMap(_.cols).toSet
+          if (cols.forall(_.isDefined) && guarded.subsetOf(compared))
             Some(Bridged(Ir.Project(cols.flatten, ch), pr.projectList.map(_.toAttribute)))
           else None
         }

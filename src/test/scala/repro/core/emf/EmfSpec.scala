@@ -171,7 +171,7 @@ class EmfSpec extends AnyFunSuite {
     wideExact()
 
     val train = lps.map(lp => (lp.a, lp.b, lp.label))
-    emf.fit(train, tpchCfg, epochs = 1, batchSize = train.size)
+    emf.fit(train, tpchCfg, epochs = 1)
     val after = emf.predictProbs(enc, pairs, tpchCfg)
     assert(after.toSeq != before.toSeq, "fine-tuning left the model unchanged")
     assert(after.toSeq == perPair())

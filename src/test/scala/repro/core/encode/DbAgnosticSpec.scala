@@ -8,7 +8,7 @@ import scala.util.Random
 
 class DbAgnosticSpec extends AnyFunSuite {
 
-  private val agn = EncoderConfig.agnostic(maxTables = 3, maxColsPerTable = 5)
+  private val agn = EncoderConfig.agnostic
 
   private def samePlan(a: EncodedPlan, b: EncodedPlan, ctx: String): Unit = {
     assert(a.numNodes == b.numNodes, ctx)
@@ -107,7 +107,7 @@ class DbAgnosticSpec extends AnyFunSuite {
   }
 
   test("overflow beyond symbol capacity clamps instead of crashing") {
-    val tight = EncoderConfig.agnostic(maxTables = 1, maxColsPerTable = 1)
+    val tight = EncoderConfig(IndexedSeq("t1"), IndexedSeq("t1.c1"))
     val rng = new Random(3)
     val plan = QueryGen.assemble(QueryGen.baseSpec(Catalogs.tpchLite, rng), rng)
     val enc = DbAgnostic.encodeDirect(Seq(plan), tight).head

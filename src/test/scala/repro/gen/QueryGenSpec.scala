@@ -74,7 +74,7 @@ class QueryGenSpec extends AnyFunSuite {
   test("assemble with different seeds yields different shapes for the same spec") {
     val rng0 = new Random(5)
     val spec = QueryGen.specOver(Catalogs.tpchLite,
-      Vector("lineitem", "orders", "customer"), 2, rng0, maxFilters = 3)
+      Vector("lineitem", "orders", "customer"), 2, rng0)
     val shapes = (0 until 12).map(s => QueryGen.assemble(spec, new Random(s)).toString).distinct
     assert(shapes.size > 1, "assembler must explore multiple tree shapes")
   }

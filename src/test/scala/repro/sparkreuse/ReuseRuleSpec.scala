@@ -151,6 +151,19 @@ class ReuseRuleSpec extends SparkSpec {
       (Seq("1", "2"), false))
   }
 
+  test("an IS NOT NULL filter is not served from the cached unfiltered scan") {
+    assert(reuseOverNulls("SELECT a.nk, a.ny FROM pt a",
+      "SELECT a.nk, a.ny FROM pt a WHERE a.ny IS NOT NULL") == (Seq("2|7", "4|8"), false))
+  }
+
+  test("a comparison that cancels its column is not served from the cached unfiltered scan") {
+    // `a.ny + 1 > a.ny` normalizes to `-1 < 0`, but SQL drops the NULL rows.
+    assert(reuseOverNulls("SELECT a.nk FROM pt a",
+      "SELECT a.nk FROM pt a WHERE a.ny + 1 > a.ny") == (Seq("2", "4"), false))
+    assert(reuseOverNulls("SELECT a.nk FROM pt a",
+      "SELECT a.nk FROM pt a WHERE a.ny - a.ny = 0") == (Seq("2", "4"), false))
+  }
+
   test("cache.find applies SF pruning before verification") {
     val (cache, _) = setup
     val rng = new Random(21)
